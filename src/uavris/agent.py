@@ -12,7 +12,6 @@ import numpy as np
 from .nets import (
     Adam,
     Mlp,
-    flatten_gradients,
     mlp_forward,
     mlp_forward_cached,
     mlp_gradients,
@@ -94,10 +93,21 @@ class DdpgAgent:
     hyper: DdpgHyperparams
     actor_opt: Adam = field(init=False)
     critic_opt: Adam = field(init=False)
+    # one gradient buffer and one scratch vector, sized to the larger net
+    # and shared by every update; allocated on the first update
+    _grads: np.ndarray | None = field(init=False, default=None, repr=False)
+    _work: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.actor_opt = Adam(lr=self.hyper.actor_lr)
         self.critic_opt = Adam(lr=self.hyper.critic_lr)
+
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._grads is None:
+            size = max(self.actor.flat.size, self.critic.flat.size)
+            self._grads = np.empty(size)
+            self._work = np.empty(size)
+        return self._grads, self._work
 
     @classmethod
     def create(
@@ -129,27 +139,29 @@ class DdpgAgent:
             a = a + noise_std * rng.standard_normal(a.shape)
         return np.clip(a, -1.0, 1.0)
 
-    def critic_value(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        sa = np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
-        return mlp_forward(self.critic, sa)[:, 0]
-
     def critic_train_step(self, batch) -> float:
         """One Adam step on the mean-squared TD error; returns the pre-step loss."""
         states, actions, rewards, next_states = batch
         n = states.shape[0]
-        next_actions = mlp_forward(self.target_actor, next_states)
-        next_q = mlp_forward(
-            self.target_critic, np.concatenate([next_states, next_actions], axis=1)
-        )[:, 0]
-        targets = rewards + self.hyper.discount * next_q
+        if self.hyper.discount == 0.0:
+            # single-step return: the target networks would only add 0 * next_q
+            targets = rewards
+        else:
+            next_actions = mlp_forward(self.target_actor, next_states)
+            next_q = mlp_forward(
+                self.target_critic, np.concatenate([next_states, next_actions], axis=1)
+            )[:, 0]
+            targets = rewards + self.hyper.discount * next_q
 
         sa = np.concatenate([states, actions], axis=1)
         q, cache = mlp_forward_cached(self.critic, sa)
         err = q[:, 0] - targets
         loss = float(np.mean(err**2))
         upstream = (2.0 / n) * err[:, np.newaxis]
-        w_g, b_g, _ = mlp_gradients(self.critic, cache, upstream)
-        self.critic_opt.step(self.critic.flat, flatten_gradients(w_g, b_g))
+        grads, work = self._buffers()
+        grads = grads[: self.critic.flat.size]
+        mlp_gradients(self.critic, cache, upstream, out=grads, wrt="params")
+        self.critic_opt.step(self.critic.flat, grads, work)
         return loss
 
     def actor_train_step(self, batch) -> float:
@@ -164,15 +176,18 @@ class DdpgAgent:
 
         # d(mean Q)/d action, chained through the actor; negate for ascent
         upstream = np.full((n, 1), 1.0 / n)
-        _, _, sa_grad = mlp_gradients(self.critic, critic_cache, upstream)
+        _, _, sa_grad = mlp_gradients(self.critic, critic_cache, upstream, wrt="input")
         action_grad = sa_grad[:, states.shape[1] :]
-        w_g, b_g, _ = mlp_gradients(self.actor, actor_cache, action_grad)
-        self.actor_opt.step(self.actor.flat, -flatten_gradients(w_g, b_g))
+        grads, work = self._buffers()
+        grads = grads[: self.actor.flat.size]
+        mlp_gradients(self.actor, actor_cache, action_grad, out=grads, wrt="params")
+        self.actor_opt.step(self.actor.flat, np.negative(grads, out=grads), work)
         return objective
 
     def update_targets(self) -> None:
-        soft_update(self.target_actor, self.actor, self.hyper.soft_update_tau)
-        soft_update(self.target_critic, self.critic, self.hyper.soft_update_tau)
+        _, work = self._buffers()
+        soft_update(self.target_actor, self.actor, self.hyper.soft_update_tau, work)
+        soft_update(self.target_critic, self.critic, self.hyper.soft_update_tau, work)
 
     def train_step(self, rng: np.random.Generator) -> tuple[float, float]:
         """Sample a batch, update critic then actor, soft-update targets."""

@@ -5,6 +5,23 @@ single vector or a (batch, features) array.
 All parameters of a network live in one flat vector; the per-layer
 weight/bias arrays are views into it, so optimizer and target-network
 updates are single whole-vector operations.
+
+Buffers.  The parameter-sized functions take optional caller-owned
+buffers so that a training step allocates nothing of parameter size:
+
+* ``mlp_gradients(..., out=g)`` writes the parameter gradients into
+  ``g`` in the flat layout (the returned per-layer arrays are views into
+  it) and leaves every other argument untouched.
+* ``Adam.step(params, grads, work=w)`` uses ``w`` as scratch and also
+  overwrites ``grads``, which the step consumes; the optimizer owns its
+  moment vectors ``m``/``v``.
+* ``soft_update(target, main, tau, work=w)`` uses ``w`` as scratch.
+
+``g`` and ``w`` may be longer than the parameter vector; only the leading
+part is used.  Without them each call allocates what it needs, changes no
+argument other than the parameters it updates, and gives the same bits.
+``DdpgAgent`` owns one gradient buffer and one scratch vector, sized to its
+larger network and shared by all of its updates.
 """
 
 from __future__ import annotations
@@ -101,7 +118,8 @@ def mlp_forward_cached(net: Mlp, x: np.ndarray):
     activations = [h]
     n_layers = len(net.weights)
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         pre_acts.append(z)
         if l < n_layers - 1:
             h = np.maximum(z, 0.0)
@@ -118,27 +136,44 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     return mlp_forward_cached(net, x)[0]
 
 
-def mlp_gradients(net: Mlp, cache, upstream: np.ndarray):
+def mlp_gradients(
+    net: Mlp, cache, upstream: np.ndarray, out: np.ndarray | None = None, wrt: str = "all"
+):
     """Backpropagate ``upstream`` (d loss / d output) through the cached
     forward pass.  Returns (weight_grads, bias_grads, input_grad); batch
-    gradients are summed over the batch."""
+    gradients are summed over the batch.
+
+    ``wrt`` limits the work to what the caller uses: "params" skips the
+    first layer's input product and returns None for input_grad, "input"
+    skips the parameter gradients and returns None for both lists.  With
+    ``out`` (a float64 vector of at least ``net.flat.size``) the parameter
+    gradients are written into it in the flat layout and the returned
+    arrays are views into it; the results are identical either way."""
+    if wrt not in ("all", "params", "input"):
+        raise ValueError(f"unknown wrt {wrt!r}")
     pre_acts, activations, single = cache
     g = np.asarray(upstream, dtype=float)
     if single:
         g = g[np.newaxis, :]
     n_layers = len(net.weights)
-    w_grads = [None] * n_layers
-    b_grads = [None] * n_layers
+    w_grads = b_grads = input_grad = None
+    if wrt != "input":
+        if out is None:
+            out = np.empty(net.flat.size)
+        w_grads, b_grads = _layer_views(out[: net.flat.size], net.layer_dims)
     for l in range(n_layers - 1, -1, -1):
         if l == n_layers - 1:
             if net.output_activation == "tanh":
                 g = g * (1.0 - activations[l + 1] ** 2)
         else:
             g = g * (pre_acts[l] > 0.0)
-        w_grads[l] = g.T @ activations[l]
-        b_grads[l] = g.sum(axis=0)
-        g = g @ net.weights[l]
-    input_grad = g[0] if single else g
+        if w_grads is not None:
+            np.matmul(g.T, activations[l], out=w_grads[l])
+            np.sum(g, axis=0, out=b_grads[l])
+        if l > 0 or wrt != "params":
+            g = g @ net.weights[l]
+    if wrt != "params":
+        input_grad = g[0] if single else g
     return w_grads, b_grads, input_grad
 
 
@@ -163,31 +198,48 @@ class Adam:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """Update ``params`` in place to descend along ``grads``."""
+    def step(self, params: np.ndarray, grads: np.ndarray, work: np.ndarray | None = None) -> None:
+        """Update ``params`` in place to descend along ``grads``.
+
+        ``work`` is scratch of at least the parameter size; when it is
+        given, ``grads`` is overwritten too.  Without it both are fresh
+        arrays and ``grads`` is left intact."""
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         if params.shape != self.m.shape:
             raise ValueError("parameter size changed under the optimizer")
+        if work is None:
+            work, grads = np.empty_like(params), np.array(grads, dtype=float)
+        else:
+            work = work[: params.size]
         self.t += 1
-        # fused bias correction: p -= lr_t * m / (sqrt(v) + eps * sqrt(bc2))
+        # fused bias correction: p -= lr_t * m / (sqrt(v) + eps * sqrt(bc2)),
+        # each product rounded in the same order as the unfused form
         bc2_sqrt = np.sqrt(1.0 - self.beta2**self.t)
         lr_t = self.lr * bc2_sqrt / (1.0 - self.beta1**self.t)
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads
+        np.multiply(grads, 1.0 - self.beta1, out=work)
+        self.m += work
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * np.square(grads)
-        denom = np.sqrt(self.v)
-        denom += self.eps * bc2_sqrt
-        params -= lr_t * self.m / denom
+        np.square(grads, out=grads)
+        grads *= 1.0 - self.beta2
+        self.v += grads
+        np.sqrt(self.v, out=work)
+        work += self.eps * bc2_sqrt
+        np.multiply(self.m, lr_t, out=grads)
+        grads /= work
+        params -= grads
 
 
-def soft_update(target: Mlp, main: Mlp, tau: float) -> None:
-    """Blend main parameters into the target network in place."""
+def soft_update(target: Mlp, main: Mlp, tau: float, work: np.ndarray | None = None) -> None:
+    """Blend main parameters into the target network in place; ``work``
+    is optional scratch of at least the parameter size."""
     if target.layer_dims != main.layer_dims:
         raise ValueError("target and main networks differ in structure")
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must be in (0, 1]")
+    work = np.empty_like(main.flat) if work is None else work[: main.flat.size]
     target.flat *= 1.0 - tau
-    target.flat += tau * main.flat
+    np.multiply(main.flat, tau, out=work)
+    target.flat += work

@@ -5,6 +5,7 @@ producing the same per-step trace format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,9 @@ def run_training(
     update once the warmup is over.  ``total_steps`` caps the iteration
     count exactly (the last episode may be cut short).  ``hyper=None``
     selects the per-variant defaults from ``default_hyperparams``.
+
+    Raises ``FloatingPointError``, naming the variant, seed and step, as
+    soon as an update returns a non-finite critic loss or mean Q.
     """
     variant = Variant(variant)
     objective = Objective(objective)
@@ -165,7 +169,12 @@ def run_training(
 
             if t >= hyper.warmup_steps and agent.buffer.size >= hyper.batch_size:
                 for _ in range(hyper.updates_per_step):
-                    agent.train_step(rng)
+                    loss, mean_q = agent.train_step(rng)
+                    if not (math.isfinite(loss) and math.isfinite(mean_q)):
+                        raise FloatingPointError(
+                            f"{variant.value} seed {seed} diverged at step {t}: "
+                            f"critic loss {loss}, mean Q {mean_q}"
+                        )
             t += 1
 
     trace = TrainingTrace(

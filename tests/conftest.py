@@ -5,6 +5,15 @@ from uavris.channel import assemble_channels
 from uavris.metrics import dbm_to_watts
 from uavris.scene import build_geometry, default_config
 
+# acceptance criteria that train DDPG agents: nearly all of the suite's run time
+SLOW_CRITERIA = tuple(f"test_criterion_{k}_" for k in (5, 6, 7, 8))
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.name.startswith(SLOW_CRITERIA):
+            item.add_marker(pytest.mark.slow)
+
 
 @pytest.fixture
 def config():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from uavris.agent import DdpgAgent, DdpgHyperparams, ReplayBuffer
-from uavris.nets import mlp_forward
+from uavris.nets import mlp_forward, mlp_forward_cached
 
 
 def small_hyper(**overrides):
@@ -148,3 +150,105 @@ class TestHyperparams:
             DdpgHyperparams(discount=1.0)
         with pytest.raises(ValueError):
             DdpgHyperparams(soft_update_tau=0.0)
+
+
+def _reference_backward(net, cache, g):
+    """Backward pass as first written: every product, fresh arrays."""
+    pre_acts, activations, _ = cache
+    parts = []
+    for l in range(len(net.weights) - 1, -1, -1):
+        if l == len(net.weights) - 1:
+            if net.output_activation == "tanh":
+                g = g * (1.0 - activations[l + 1] ** 2)
+        else:
+            g = g * (pre_acts[l] > 0.0)
+        parts[:0] = [(g.T @ activations[l]).ravel(), g.sum(axis=0)]
+        g = g @ net.weights[l]
+    return np.concatenate(parts), g
+
+
+def _reference_adam(opt, params, grads):
+    if opt.m is None:
+        opt.m, opt.v = np.zeros_like(params), np.zeros_like(params)
+    opt.t += 1
+    bc2_sqrt = np.sqrt(1.0 - opt.beta2**opt.t)
+    lr_t = opt.lr * bc2_sqrt / (1.0 - opt.beta1**opt.t)
+    opt.m *= opt.beta1
+    opt.m += (1.0 - opt.beta1) * grads
+    opt.v *= opt.beta2
+    opt.v += (1.0 - opt.beta2) * np.square(grads)
+    denom = np.sqrt(opt.v)
+    denom += opt.eps * bc2_sqrt
+    params -= lr_t * opt.m / denom
+
+
+def _reference_train_step(agent, rng):
+    """The allocate-everything DDPG update: target passes at any discount,
+    all gradients, flattened copies and out-of-place optimizer updates."""
+    states, actions, rewards, next_states = agent.buffer.sample(rng, agent.hyper.batch_size)
+    n = states.shape[0]
+    next_actions = mlp_forward(agent.target_actor, next_states)
+    next_q = mlp_forward(agent.target_critic, np.concatenate([next_states, next_actions], 1))
+    targets = rewards + agent.hyper.discount * next_q[:, 0]
+    q, cache = mlp_forward_cached(agent.critic, np.concatenate([states, actions], 1))
+    err = q[:, 0] - targets
+    grads, _ = _reference_backward(agent.critic, cache, (2.0 / n) * err[:, np.newaxis])
+    _reference_adam(agent.critic_opt, agent.critic.flat, grads)
+
+    actions, actor_cache = mlp_forward_cached(agent.actor, states)
+    _, critic_cache = mlp_forward_cached(agent.critic, np.concatenate([states, actions], 1))
+    _, sa_grad = _reference_backward(agent.critic, critic_cache, np.full((n, 1), 1.0 / n))
+    grads, _ = _reference_backward(agent.actor, actor_cache, sa_grad[:, states.shape[1] :])
+    _reference_adam(agent.actor_opt, agent.actor.flat, -grads)
+
+    tau = agent.hyper.soft_update_tau
+    for target, main in ((agent.target_actor, agent.actor), (agent.target_critic, agent.critic)):
+        target.flat *= 1.0 - tau
+        target.flat += tau * main.flat
+
+
+def _filled_agent(state_dim, action_dim, hyper, seed=0, transitions=128):
+    rng = np.random.default_rng(seed)
+    agent = DdpgAgent.create(state_dim, action_dim, hyper, rng)
+    for _ in range(transitions):
+        agent.buffer.push(
+            rng.standard_normal(state_dim),
+            rng.uniform(-1.0, 1.0, action_dim),
+            rng.standard_normal(),
+            rng.standard_normal(state_dim),
+        )
+    return agent
+
+
+class TestUpdateMatchesReference:
+    @pytest.mark.parametrize("discount", [0.99, 0.0])
+    def test_bitwise_equal_over_20_updates(self, discount):
+        hyper = small_hyper(hidden_dims=(32, 32), batch_size=16, discount=discount)
+        agent = _filled_agent(40, 6, hyper)
+        ref = _filled_agent(40, 6, hyper)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20):
+            agent.train_step(rng)
+            _reference_train_step(ref, ref_rng)
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            assert np.array_equal(getattr(agent, name).flat, getattr(ref, name).flat), name
+        for name in ("actor_opt", "critic_opt"):
+            opt, ref_opt = getattr(agent, name), getattr(ref, name)
+            assert opt.t == ref_opt.t == 20
+            assert np.array_equal(opt.m, ref_opt.m) and np.array_equal(opt.v, ref_opt.v), name
+
+    def test_steady_state_update_allocates_no_parameter_sized_temporaries(self):
+        # 385 -> 128 -> 128 -> 32 is the default scene's IC actor (70k
+        # parameters per net).  With parameter-sized temporaries this update
+        # peaked at 3.7 MiB; with the agent's shared buffers, at 1.5 MiB.
+        hyper = DdpgHyperparams(hidden_dims=(128, 128), batch_size=64, buffer_capacity=256)
+        agent = _filled_agent(385, 32, hyper)
+        rng = np.random.default_rng(0)
+        agent.train_step(rng)
+        tracemalloc.start()
+        try:
+            agent.train_step(rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20

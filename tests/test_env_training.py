@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uavris.agent import DdpgHyperparams
+from uavris.agent import DdpgAgent, DdpgHyperparams
 from uavris.channel import cascaded_channel
 from uavris.env import (
     MIN_SINR_CLIP_DB,
@@ -214,6 +214,25 @@ class TestRunTraining:
         assert trace.final_best_min_sinr_db == pytest.approx(
             np.nanmax(trace.min_sinr_db), rel=1e-12
         )
+
+    def test_non_finite_update_stops_the_run(self, config, monkeypatch):
+        train_step = DdpgAgent.train_step
+        calls = []
+
+        def poisoned(agent, rng):
+            calls.append(1)
+            if len(calls) == 3:
+                agent.critic.flat[0] = np.nan
+            return train_step(agent, rng)
+
+        monkeypatch.setattr(DdpgAgent, "train_step", poisoned)
+        # warmup 4, batch 8: updates start at step 7, so the third is step 9
+        with pytest.raises(FloatingPointError, match=r"^IC seed 5 diverged at step 9: "):
+            run_training(
+                config, Variant.IC, total_steps=30, steps_per_episode=10, seed=5,
+                hyper=fast_hyper(),
+            )
+        assert len(calls) == 3
 
 
 class TestRunRandomSearch:

@@ -126,6 +126,52 @@ class TestGradients:
             assert in_grad[i] == pytest.approx(num, abs=1e-6)
 
 
+class TestBuffers:
+    @pytest.mark.parametrize("act,batch", [("tanh", 1), ("identity", 9)])
+    def test_gradients_into_buffer_match_default(self, act, batch):
+        rng = np.random.default_rng(10)
+        net = Mlp.create([7, 12, 5, 3], rng, output_activation=act)
+        x = rng.standard_normal(7) if batch == 1 else rng.standard_normal((batch, 7))
+        out, cache = mlp_forward_cached(net, x)
+        upstream = rng.standard_normal(out.shape)
+        w_g, b_g, in_grad = mlp_gradients(net, cache, upstream)
+        buf = np.full(net.flat.size + 4, np.nan)
+        w_o, b_o, none = mlp_gradients(net, cache, upstream, out=buf, wrt="params")
+        assert none is None
+        assert np.array_equal(buf[: net.flat.size], flatten_gradients(w_g, b_g))
+        assert np.array_equal(flatten_gradients(w_o, b_o), buf[: net.flat.size])
+        assert np.isnan(buf[net.flat.size :]).all()
+        no_w, no_b, in_only = mlp_gradients(net, cache, upstream, wrt="input")
+        assert no_w is None and no_b is None
+        assert np.array_equal(in_only, in_grad)
+
+    def test_bad_wrt(self):
+        net = Mlp.create([2, 2], np.random.default_rng(0))
+        _, cache = mlp_forward_cached(net, np.ones(2))
+        with pytest.raises(ValueError):
+            mlp_gradients(net, cache, np.ones(2), wrt="weights")
+
+    def test_adam_and_soft_update_with_scratch_match_fresh(self):
+        rng = np.random.default_rng(11)
+        p1 = rng.standard_normal(50)
+        p2 = p1.copy()
+        a1, a2 = Adam(lr=0.01), Adam(lr=0.01)
+        work = np.empty(64)
+        for _ in range(5):
+            g = rng.standard_normal(50)
+            a1.step(p1, g)
+            a2.step(p2, g, work)  # after the default path, which must leave g intact
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(a1.m, a2.m) and np.array_equal(a1.v, a2.v)
+
+        main = Mlp.create([3, 4, 2], rng)
+        t1 = Mlp.create([3, 4, 2], rng)
+        t2 = t1.copy()
+        soft_update(t1, main, 0.3)
+        soft_update(t2, main, 0.3, work)
+        assert np.array_equal(t1.flat, t2.flat)
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         # with any nonzero gradient the first Adam step has size ~lr per coord
