@@ -1,6 +1,12 @@
 """DDPG agent: replay buffer, actor/critic networks with target copies,
 temporal-difference critic updates and deterministic policy-gradient
 actor updates, soft target blending and Gaussian exploration noise.
+
+The networks, optimizer moments, replay buffer and update scratch are
+float32 (``NET_DTYPE``); weights are drawn in float64 and rounded, so the
+random stream is the one a float64 agent would draw.  The environment
+side stays float64: ``policy`` and ``select_action`` return float64
+actions, and stored transitions are rounded on ``push``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,11 @@ from .nets import (
     soft_update,
 )
 
-__all__ = ["DdpgHyperparams", "ReplayBuffer", "DdpgAgent"]
+__all__ = ["DdpgHyperparams", "ReplayBuffer", "DdpgAgent", "NET_DTYPE"]
+
+# Precision of everything the agent trains on; float32 halves the memory
+# traffic of the update, and the environment stays float64/complex128.
+NET_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -54,10 +64,10 @@ class ReplayBuffer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros((capacity, action_dim))
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
+        self.states = np.zeros((capacity, state_dim), dtype=NET_DTYPE)
+        self.actions = np.zeros((capacity, action_dim), dtype=NET_DTYPE)
+        self.rewards = np.zeros(capacity, dtype=NET_DTYPE)
+        self.next_states = np.zeros((capacity, state_dim), dtype=NET_DTYPE)
         self.size = 0
         self._head = 0
 
@@ -105,8 +115,8 @@ class DdpgAgent:
     def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
         if self._grads is None:
             size = max(self.actor.flat.size, self.critic.flat.size)
-            self._grads = np.empty(size)
-            self._work = np.empty(size)
+            self._grads = np.empty(size, dtype=NET_DTYPE)
+            self._work = np.empty(size, dtype=NET_DTYPE)
         return self._grads, self._work
 
     @classmethod
@@ -114,8 +124,10 @@ class DdpgAgent:
         cls, state_dim: int, action_dim: int, hyper: DdpgHyperparams, rng: np.random.Generator
     ) -> "DdpgAgent":
         hidden = list(hyper.hidden_dims)
-        actor = Mlp.create([state_dim] + hidden + [action_dim], rng, output_activation="tanh")
-        critic = Mlp.create([state_dim + action_dim] + hidden + [1], rng)
+        actor = Mlp.create(
+            [state_dim] + hidden + [action_dim], rng, output_activation="tanh", dtype=NET_DTYPE
+        )
+        critic = Mlp.create([state_dim + action_dim] + hidden + [1], rng, dtype=NET_DTYPE)
         return cls(
             actor=actor,
             critic=critic,
@@ -130,7 +142,7 @@ class DdpgAgent:
         return self.actor.layer_dims[-1]
 
     def policy(self, state: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.actor, state)
+        return mlp_forward(self.actor, state).astype(np.float64)
 
     def select_action(self, state: np.ndarray, noise_std: float, rng: np.random.Generator):
         """Deterministic policy output plus clipped Gaussian exploration."""
@@ -175,9 +187,11 @@ class DdpgAgent:
         objective = float(np.mean(q))
 
         # d(mean Q)/d action, chained through the actor; negate for ascent
-        upstream = np.full((n, 1), 1.0 / n)
-        _, _, sa_grad = mlp_gradients(self.critic, critic_cache, upstream, wrt="input")
-        action_grad = sa_grad[:, states.shape[1] :]
+        upstream = np.full((n, 1), 1.0 / n, dtype=NET_DTYPE)
+        _, _, action_grad = mlp_gradients(
+            self.critic, critic_cache, upstream, wrt="input",
+            input_columns=slice(states.shape[1], None),
+        )
         grads, work = self._buffers()
         grads = grads[: self.actor.flat.size]
         mlp_gradients(self.actor, actor_cache, action_grad, out=grads, wrt="params")
@@ -190,9 +204,12 @@ class DdpgAgent:
         soft_update(self.target_critic, self.critic, self.hyper.soft_update_tau, work)
 
     def train_step(self, rng: np.random.Generator) -> tuple[float, float]:
-        """Sample a batch, update critic then actor, soft-update targets."""
+        """Sample a batch, update critic then actor, soft-update targets.
+        At discount 0 nothing reads the targets, so they keep their
+        initial copies."""
         batch = self.buffer.sample(rng, self.hyper.batch_size)
         loss = self.critic_train_step(batch)
         objective = self.actor_train_step(batch)
-        self.update_targets()
+        if self.hyper.discount != 0.0:
+            self.update_targets()
         return loss, objective

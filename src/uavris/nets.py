@@ -1,10 +1,19 @@
 """Small fully-connected networks with hand-coded reverse-mode gradients,
-plus an Adam optimizer.  Everything is float64 numpy; inputs may be a
-single vector or a (batch, features) array.
+plus an Adam optimizer, in numpy.  Inputs may be a single vector or a
+(batch, features) array.
 
 All parameters of a network live in one flat vector; the per-layer
 weight/bias arrays are views into it, so optimizer and target-network
 updates are single whole-vector operations.
+
+Precision.  The dtype of a network's ``flat`` vector is the dtype of all
+of its arithmetic: inputs and upstream gradients are cast to it, and
+gradients, optimizer moments and scratch are allocated in it.
+``Mlp.create`` defaults to float64; ``DdpgAgent`` trains in float32.
+Scalars that meet these arrays are Python floats, never numpy float64
+scalars: under NumPy's promotion rules a float64 scalar would lift every
+float32 product to float64 and round it back, which is slower and rounds
+differently.  In float64 the two kinds of scalar give the same bits.
 
 Buffers.  The parameter-sized functions take optional caller-owned
 buffers so that a training step allocates nothing of parameter size:
@@ -18,14 +27,16 @@ buffers so that a training step allocates nothing of parameter size:
 * ``soft_update(target, main, tau, work=w)`` uses ``w`` as scratch.
 
 ``g`` and ``w`` may be longer than the parameter vector; only the leading
-part is used.  Without them each call allocates what it needs, changes no
-argument other than the parameters it updates, and gives the same bits.
-``DdpgAgent`` owns one gradient buffer and one scratch vector, sized to its
-larger network and shared by all of its updates.
+part is used, and they share the parameters' dtype.  Without them each
+call allocates what it needs, changes no argument other than the
+parameters it updates, and gives the same bits.  ``DdpgAgent`` owns one
+gradient buffer and one scratch vector, sized to its larger network and
+shared by all of its updates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,11 +91,15 @@ class Mlp:
         layer_dims: list[int],
         rng: np.random.Generator,
         output_activation: str = "identity",
+        dtype=np.float64,
     ) -> "Mlp":
+        """He-initialized network with parameters of ``dtype``.  Weights
+        are drawn in float64 whatever the dtype, so the random stream
+        does not depend on it."""
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise ValueError(f"bad layer dims {layer_dims}")
         net = cls(
-            flat=np.zeros(_param_count(layer_dims)),
+            flat=np.zeros(_param_count(layer_dims), dtype=dtype),
             layer_dims=list(layer_dims),
             output_activation=output_activation,
         )
@@ -101,8 +116,9 @@ class Mlp:
         )
 
 
-def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
+def _as_batch(x: np.ndarray, net: Mlp) -> tuple[np.ndarray, bool]:
+    x = np.asarray(x, dtype=net.flat.dtype)
+    dim = net.layer_dims[0]
     single = x.ndim == 1
     if single:
         x = x[np.newaxis, :]
@@ -113,7 +129,7 @@ def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
 
 def mlp_forward_cached(net: Mlp, x: np.ndarray):
     """Forward pass returning (output, cache) for use by mlp_gradients."""
-    h, single = _as_batch(x, net.layer_dims[0])
+    h, single = _as_batch(x, net)
     pre_acts = []
     activations = [h]
     n_layers = len(net.weights)
@@ -137,7 +153,12 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_gradients(
-    net: Mlp, cache, upstream: np.ndarray, out: np.ndarray | None = None, wrt: str = "all"
+    net: Mlp,
+    cache,
+    upstream: np.ndarray,
+    out: np.ndarray | None = None,
+    wrt: str = "all",
+    input_columns: slice = slice(None),
 ):
     """Backpropagate ``upstream`` (d loss / d output) through the cached
     forward pass.  Returns (weight_grads, bias_grads, input_grad); batch
@@ -145,21 +166,24 @@ def mlp_gradients(
 
     ``wrt`` limits the work to what the caller uses: "params" skips the
     first layer's input product and returns None for input_grad, "input"
-    skips the parameter gradients and returns None for both lists.  With
-    ``out`` (a float64 vector of at least ``net.flat.size``) the parameter
-    gradients are written into it in the flat layout and the returned
-    arrays are views into it; the results are identical either way."""
+    skips the parameter gradients and returns None for both lists.
+    ``input_columns`` restricts input_grad, and the first layer's input
+    product, to those input features (default: all of them).  With
+    ``out`` (a vector of the net's dtype and at least ``net.flat.size``)
+    the parameter gradients are written into it in the flat layout and
+    the returned arrays are views into it; the results are identical
+    either way."""
     if wrt not in ("all", "params", "input"):
         raise ValueError(f"unknown wrt {wrt!r}")
     pre_acts, activations, single = cache
-    g = np.asarray(upstream, dtype=float)
+    g = np.asarray(upstream, dtype=net.flat.dtype)
     if single:
         g = g[np.newaxis, :]
     n_layers = len(net.weights)
     w_grads = b_grads = input_grad = None
     if wrt != "input":
         if out is None:
-            out = np.empty(net.flat.size)
+            out = np.empty_like(net.flat)
         w_grads, b_grads = _layer_views(out[: net.flat.size], net.layer_dims)
     for l in range(n_layers - 1, -1, -1):
         if l == n_layers - 1:
@@ -170,8 +194,10 @@ def mlp_gradients(
         if w_grads is not None:
             np.matmul(g.T, activations[l], out=w_grads[l])
             np.sum(g, axis=0, out=b_grads[l])
-        if l > 0 or wrt != "params":
+        if l > 0:
             g = g @ net.weights[l]
+        elif wrt != "params":
+            g = g @ net.weights[0][:, input_columns]
     if wrt != "params":
         input_grad = g[0] if single else g
     return w_grads, b_grads, input_grad
@@ -210,13 +236,14 @@ class Adam:
         if params.shape != self.m.shape:
             raise ValueError("parameter size changed under the optimizer")
         if work is None:
-            work, grads = np.empty_like(params), np.array(grads, dtype=float)
+            work, grads = np.empty_like(params), np.array(grads, dtype=params.dtype)
         else:
             work = work[: params.size]
         self.t += 1
         # fused bias correction: p -= lr_t * m / (sqrt(v) + eps * sqrt(bc2)),
-        # each product rounded in the same order as the unfused form
-        bc2_sqrt = np.sqrt(1.0 - self.beta2**self.t)
+        # each product rounded in the same order as the unfused form;
+        # Python-float scalars keep float32 arithmetic in float32
+        bc2_sqrt = math.sqrt(1.0 - self.beta2**self.t)
         lr_t = self.lr * bc2_sqrt / (1.0 - self.beta1**self.t)
         self.m *= self.beta1
         np.multiply(grads, 1.0 - self.beta1, out=work)

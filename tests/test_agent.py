@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -152,8 +153,9 @@ class TestHyperparams:
             DdpgHyperparams(soft_update_tau=0.0)
 
 
-def _reference_backward(net, cache, g):
-    """Backward pass as first written: every product, fresh arrays."""
+def _reference_backward(net, cache, g, input_columns=slice(None)):
+    """Backward pass as first written: every product, fresh arrays; the
+    first layer's input product covers ``input_columns`` only."""
     pre_acts, activations, _ = cache
     parts = []
     for l in range(len(net.weights) - 1, -1, -1):
@@ -163,7 +165,7 @@ def _reference_backward(net, cache, g):
         else:
             g = g * (pre_acts[l] > 0.0)
         parts[:0] = [(g.T @ activations[l]).ravel(), g.sum(axis=0)]
-        g = g @ net.weights[l]
+        g = g @ (net.weights[l] if l > 0 else net.weights[0][:, input_columns])
     return np.concatenate(parts), g
 
 
@@ -171,7 +173,7 @@ def _reference_adam(opt, params, grads):
     if opt.m is None:
         opt.m, opt.v = np.zeros_like(params), np.zeros_like(params)
     opt.t += 1
-    bc2_sqrt = np.sqrt(1.0 - opt.beta2**opt.t)
+    bc2_sqrt = math.sqrt(1.0 - opt.beta2**opt.t)
     lr_t = opt.lr * bc2_sqrt / (1.0 - opt.beta1**opt.t)
     opt.m *= opt.beta1
     opt.m += (1.0 - opt.beta1) * grads
@@ -183,10 +185,14 @@ def _reference_adam(opt, params, grads):
 
 
 def _reference_train_step(agent, rng):
-    """The allocate-everything DDPG update: target passes at any discount,
-    all gradients, flattened copies and out-of-place optimizer updates."""
+    """The allocate-everything DDPG update in the agent's dtype: target
+    passes at any discount, all gradients, flattened copies and
+    out-of-place optimizer updates.  The actor step's critic input
+    gradient covers the action columns only, and at discount 0 the
+    targets are not blended."""
     states, actions, rewards, next_states = agent.buffer.sample(rng, agent.hyper.batch_size)
     n = states.shape[0]
+    dtype = agent.critic.flat.dtype
     next_actions = mlp_forward(agent.target_actor, next_states)
     next_q = mlp_forward(agent.target_critic, np.concatenate([next_states, next_actions], 1))
     targets = rewards + agent.hyper.discount * next_q[:, 0]
@@ -197,10 +203,15 @@ def _reference_train_step(agent, rng):
 
     actions, actor_cache = mlp_forward_cached(agent.actor, states)
     _, critic_cache = mlp_forward_cached(agent.critic, np.concatenate([states, actions], 1))
-    _, sa_grad = _reference_backward(agent.critic, critic_cache, np.full((n, 1), 1.0 / n))
-    grads, _ = _reference_backward(agent.actor, actor_cache, sa_grad[:, states.shape[1] :])
+    _, action_grad = _reference_backward(
+        agent.critic, critic_cache, np.full((n, 1), 1.0 / n, dtype=dtype),
+        input_columns=slice(states.shape[1], None),
+    )
+    grads, _ = _reference_backward(agent.actor, actor_cache, action_grad)
     _reference_adam(agent.actor_opt, agent.actor.flat, -grads)
 
+    if agent.hyper.discount == 0.0:
+        return
     tau = agent.hyper.soft_update_tau
     for target, main in ((agent.target_actor, agent.actor), (agent.target_critic, agent.critic)):
         target.flat *= 1.0 - tau
@@ -240,7 +251,8 @@ class TestUpdateMatchesReference:
     def test_steady_state_update_allocates_no_parameter_sized_temporaries(self):
         # 385 -> 128 -> 128 -> 32 is the default scene's IC actor (70k
         # parameters per net).  With parameter-sized temporaries this update
-        # peaked at 3.7 MiB; with the agent's shared buffers, at 1.5 MiB.
+        # peaked at 3.7 MiB; with the agent's shared buffers, at 1.5 MiB in
+        # float64 and 0.7 MiB in float32, so a float64 leak fails the bound.
         hyper = DdpgHyperparams(hidden_dims=(128, 128), batch_size=64, buffer_capacity=256)
         agent = _filled_agent(385, 32, hyper)
         rng = np.random.default_rng(0)
@@ -251,4 +263,4 @@ class TestUpdateMatchesReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 2**20
+        assert peak < 1.0 * 2**20

@@ -172,6 +172,50 @@ class TestBuffers:
         assert np.array_equal(t1.flat, t2.flat)
 
 
+class TestPrecision:
+    # a critic-shaped net: 12 state and 4 action inputs, batch 16
+    DIMS = [16, 32, 32, 1]
+    ACTIONS = slice(12, None)
+
+    def _gradients(self, net, x, upstream):
+        _, cache = mlp_forward_cached(net, x)
+        w_g, b_g, _ = mlp_gradients(net, cache, upstream)
+        _, _, in_grad = mlp_gradients(net, cache, upstream, wrt="input",
+                                      input_columns=self.ACTIONS)
+        return flatten_gradients(w_g, b_g), in_grad
+
+    def test_float32_create_rounds_the_float64_draw(self):
+        net32 = Mlp.create(self.DIMS, np.random.default_rng(0), dtype=np.float32)
+        net64 = Mlp.create(self.DIMS, np.random.default_rng(0))
+        assert net32.flat.dtype == np.float32
+        assert np.array_equal(net32.flat, net64.flat.astype(np.float32))
+
+    def test_float32_gradients_match_float64_on_the_same_weights(self):
+        rng = np.random.default_rng(12)
+        net32 = Mlp.create(self.DIMS, rng, dtype=np.float32)
+        net32.flat[:] = rng.standard_normal(net32.flat.size) * 0.3
+        net64 = Mlp(net32.flat.astype(np.float64), list(self.DIMS))
+        x = rng.standard_normal((16, 16))
+        upstream = rng.standard_normal((16, 1))
+        p32, in32 = self._gradients(net32, x, upstream)
+        p64, in64 = self._gradients(net64, x, upstream)
+        assert p32.dtype == in32.dtype == np.float32
+        assert in32.shape == (16, 4)
+        # float32 eps is 1.2e-7; a few hundred roundings per entry stay far below 1e-4
+        for lo, hi in ((p32, p64), (in32, in64)):
+            np.testing.assert_allclose(lo, hi, rtol=0, atol=1e-4 * np.abs(hi).max())
+
+    def test_column_restricted_input_gradient_is_the_slice(self):
+        rng = np.random.default_rng(13)
+        net = Mlp.create(self.DIMS, rng)
+        _, cache = mlp_forward_cached(net, rng.standard_normal((16, 16)))
+        upstream = rng.standard_normal((16, 1))
+        _, _, full = mlp_gradients(net, cache, upstream, wrt="input")
+        _, _, cols = mlp_gradients(net, cache, upstream, wrt="input", input_columns=self.ACTIONS)
+        np.testing.assert_allclose(cols, full[:, self.ACTIONS], rtol=0,
+                                   atol=1e-12 * np.abs(full).max())
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         # with any nonzero gradient the first Adam step has size ~lr per coord
