@@ -9,12 +9,14 @@
 # (parent first on the 1st, 3rd, ... seed).  Prints each run's gated
 # metrics, then per metric each side's median and quartiles, the change's
 # wins (ties count for neither side), and whether the median gap exceeds
-# the parent's interquartile range.  Each run's output and full result
+# the parent's interquartile range.  Last, per seed, whether the two sides'
+# per-cell results (cell_best_db and cell_tail_db) are identical, and if
+# not, how many differ and by how much.  Each run's output and full result
 # JSON are kept in the directory named on the first line.
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
-    sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 workload=$1
@@ -90,4 +92,20 @@ for name, spec in gated.items():
     print(f"{name:16s} {pq[1]:12.5g} [{pq[0]:9.5g}, {pq[2]:9.5g}] "
           f"{cq[1]:12.5g} [{cq[0]:9.5g}, {cq[2]:9.5g}] {wins:3d}/{len(seeds):<2d} "
           f"{'yes' if gap > pq[2] - pq[0] else 'no':>17s}")
+
+print("\nper-cell results, change against parent")
+for seed in seeds:
+    full = {side: json.load(open(f"{out}/{side}_{seed}.json")) for side in runs}
+    for key in ("cell_best_db", "cell_tail_db"):
+        p, c = (np.array(full[side][key], dtype=float) for side in ("parent", "change"))
+        if p.shape != c.shape:
+            verdict = f"different cell counts ({p.size} and {c.size})"
+        elif np.array_equal(p, c, equal_nan=True):
+            verdict = "identical"
+        else:
+            diff = np.abs(p - c)
+            differ = ~((p == c) | (np.isnan(p) & np.isnan(c)))
+            verdict = (f"{int(differ.sum())} of {p.size} differ, "
+                       f"max |diff| {np.nanmax(diff[differ]):.3g} dB")
+        print(f"{seed:>6s} {key:13s} {verdict}")
 EOF

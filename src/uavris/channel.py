@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import diag_embed
+from .linalg import all_finite, diag_embed
 from .scene import GeometrySet, LinkGeometry, SystemConfig
 
 __all__ = [
@@ -51,7 +51,7 @@ class ChannelSet:
     pathloss_ris_uav: np.ndarray
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.g_stacked)) and np.all(np.isfinite(self.h_stacked))):
+        if not (all_finite(self.g_stacked) and all_finite(self.h_stacked)):
             raise ValueError("channel matrices contain non-finite entries")
         if self.g_stacked.shape[0] != self.h_stacked.shape[1]:
             raise ValueError(
@@ -81,7 +81,7 @@ class PhaseConfig:
         t = np.asarray(self.theta, dtype=float)
         if t.ndim != 1:
             raise ValueError("theta must be a 1-D vector")
-        if not np.all(np.isfinite(t)):
+        if not all_finite(t):
             raise ValueError("theta contains non-finite entries")
         object.__setattr__(self, "theta", np.mod(t, 2 * np.pi))
 

@@ -18,11 +18,13 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelSet, PhaseConfig, assemble_channels, cascaded_channel
+from .linalg import all_finite
 from .metrics import SinrReport, sinr_report
 from .scene import SystemConfig, build_geometry
 from .solvers import (
     BeamformingMatrix,
     RankDeficientError,
+    ZeroBeamformerError,
     decode_association,
     ic_beamforming,
     normalize_beamformer,
@@ -63,7 +65,10 @@ class DownlinkEnv:
     Channels are redrawn on reset (once per training episode) and held
     fixed within the episode.  The state is the pathloss-normalized
     channel entries (real and imaginary parts) plus the previous step's
-    reward-scaled min-SINR, 0 at episode start.
+    reward-scaled min-SINR, 0 at episode start.  The channel entries are
+    computed once per channel realization, whenever ``channels`` is
+    assigned (``reset`` does so); arrays of a ``ChannelSet`` changed in
+    place are not seen by the state.
     """
 
     def __init__(
@@ -78,8 +83,17 @@ class DownlinkEnv:
         self.objective = Objective(objective)
         self.one_bit = one_bit
         self.geometry = build_geometry(config)
-        self.channels: ChannelSet | None = None
+        self.channels = None
         self._prev_min_sinr_feature = 0.0
+
+    @property
+    def channels(self) -> ChannelSet | None:
+        return self._channels
+
+    @channels.setter
+    def channels(self, channels: ChannelSet | None) -> None:
+        self._channels = channels
+        self._features = None if channels is None else self._channel_features(channels)
 
     @property
     def state_dim(self) -> int:
@@ -98,10 +112,9 @@ class DownlinkEnv:
             return ne * c.n_uav + beam
         return ne + beam
 
-    def _state(self) -> np.ndarray:
-        ch = self.channels
-        c = self.config
-        n = c.elements_per_ris
+    def _channel_features(self, ch: ChannelSet) -> np.ndarray:
+        """The state with its last entry, the min-SINR feature, left at 0."""
+        n = self.config.elements_per_ris
         # divide each link block by its pathloss amplitude -> O(1) features
         g_norm = ch.g_stacked / np.repeat(ch.pathloss_bs_ris, n)[:, np.newaxis]
         h_norm = ch.h_stacked / np.repeat(ch.pathloss_ris_uav.T, n, axis=1)
@@ -111,34 +124,44 @@ class DownlinkEnv:
                 h_norm.imag.ravel(),
                 g_norm.real.ravel(),
                 g_norm.imag.ravel(),
-                [self._prev_min_sinr_feature],
+                [0.0],
             ]
         )
+
+    def _state(self) -> np.ndarray:
+        state = self._features.copy()
+        state[-1] = self._prev_min_sinr_feature
+        return state
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         self.channels = assemble_channels(self.config, self.geometry, rng)
         self._prev_min_sinr_feature = 0.0
         return self._state()
 
-    def decode(self, action: np.ndarray) -> tuple[PhaseConfig, BeamformingMatrix]:
-        """Map a raw action in [-1, 1]^k onto the feasible set.
-
-        Raises RankDeficientError (IC) or ValueError (degenerate raw
-        precoder) when the action has no feasible decoding.
-        """
-        c = self.config
-        ne = c.n_ris_elements
+    def _checked_action(self, action: np.ndarray) -> np.ndarray:
         action = np.asarray(action, dtype=float)
         if action.shape != (self.action_dim,):
             raise ValueError(f"action shape {action.shape} != ({self.action_dim},)")
+        if not all_finite(action):
+            raise ValueError("action contains non-finite entries")
+        return action
 
-        if self.variant is Variant.IC:
-            phases = PhaseConfig(theta=np.pi * (action + 1.0))
-            if self.one_bit:
-                phases = quantize_one_bit(phases)
-            f_hat = ic_beamforming(self.channels, phases, c.p_max)
-            return phases, f_hat
+    def decode(self, action: np.ndarray) -> tuple[PhaseConfig, BeamformingMatrix]:
+        """Map a raw action in [-1, 1]^k onto the feasible set.
 
+        Raises ValueError for an action of the wrong shape or with
+        non-finite entries.  Raises RankDeficientError (IC) or
+        ZeroBeamformerError (all-zero raw precoder) when the action has
+        no feasible decoding.
+        """
+        phases, f_hat, _ = self._decode(self._checked_action(action))
+        return phases, f_hat
+
+    def _decode(self, action: np.ndarray) -> tuple[PhaseConfig, BeamformingMatrix, np.ndarray]:
+        """``decode`` of a checked action, plus the cascade H Phi G of the
+        decoded phases."""
+        c = self.config
+        ne = c.n_ris_elements
         if self.variant is Variant.ORESOU:
             split = ne * c.n_uav
             assoc = decode_association(action[:split], c.n_uav)
@@ -146,19 +169,28 @@ class DownlinkEnv:
             phases = oresou_phases(assoc, self.channels, f_hat)
             if self.one_bit:
                 phases = quantize_one_bit(phases)
-            return phases, f_hat
+            return phases, f_hat, cascaded_channel(self.channels, phases)
 
         phases = PhaseConfig(theta=np.pi * (action[:ne] + 1.0))
         if self.one_bit:
             phases = quantize_one_bit(phases)
+        if self.variant is Variant.IC:
+            cascade = cascaded_channel(self.channels, phases)
+            return phases, ic_beamforming(self.channels, phases, c.p_max, cascade=cascade), cascade
         f_hat = normalize_beamformer(action[ne:], c.n_bs_antennas, c.n_uav, c.p_max)
-        return phases, f_hat
+        return phases, f_hat, cascaded_channel(self.channels, phases)
 
     def step(self, action: np.ndarray) -> tuple[np.ndarray, StepOutcome]:
-        """Decode, evaluate SINRs, compute the reward, advance the state."""
+        """Decode, evaluate SINRs, compute the reward, advance the state.
+
+        An action without a feasible decoding is a penalized step; an
+        action of the wrong shape or with non-finite entries raises
+        ValueError.
+        """
+        action = self._checked_action(action)
         try:
-            phases, f_hat = self.decode(action)
-        except (RankDeficientError, ValueError):
+            phases, f_hat, cascade = self._decode(action)
+        except (RankDeficientError, ZeroBeamformerError):
             self._prev_min_sinr_feature = PENALTY_DB / REWARD_SCALE
             outcome = StepOutcome(
                 phases=None,
@@ -169,9 +201,9 @@ class DownlinkEnv:
             )
             return self._state(), outcome
 
-        effective = cascaded_channel(self.channels, phases) @ f_hat.f_hat
-        report = sinr_report(effective, self.config.noise_power)
-        clipped_db = float(np.clip(report.min_sinr_db, *MIN_SINR_CLIP_DB))
+        report = sinr_report(cascade @ f_hat.f_hat, self.config.noise_power)
+        low, high = MIN_SINR_CLIP_DB
+        clipped_db = min(max(report.min_sinr_db, low), high)
         if self.objective is Objective.MAX_MIN_SINR:
             reward = clipped_db / REWARD_SCALE
         else:

@@ -2,17 +2,25 @@
 
 Matrices are plain 2-D complex128 numpy arrays.  The only nontrivial
 routine is the right pseudo-inverse used by the interference-cancelling
-precoder; it goes through the normal equations A @ A^H with an explicit
-Cholesky factorization so rank deficiency can be detected from the pivot
-ratio instead of an SVD.
+precoder.  It goes through the normal equations A @ A^H: LAPACK's
+Cholesky factorization (``np.linalg.cholesky``) detects rank deficiency
+from the pivot ratio instead of an SVD, and one LAPACK solve
+(``np.linalg.solve``) applies the inverse.
+
+``all_finite`` is the finiteness check of the value types built on every
+environment step (phases, precoders, actions): one reduction where the
+elementwise test would take two.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
 __all__ = [
     "RankDeficientError",
+    "all_finite",
     "as_cmatrix",
     "matmul",
     "hermitian",
@@ -30,12 +38,23 @@ class RankDeficientError(np.linalg.LinAlgError):
     """The matrix handed to right_pinv is (numerically) row-rank deficient."""
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` for a real or complex array.
+
+    A finite sum has only finite terms, so the elementwise test runs only
+    when the sum is not finite: a non-finite entry, or entries near the
+    float64 limit whose sum overflows.  numpy warns about an overflowing
+    sum and about a sum of +inf and -inf.
+    """
+    return cmath.isfinite(a.sum()) or bool(np.isfinite(a).all())
+
+
 def as_cmatrix(a) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array, validating shape and entries."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not all_finite(m):
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -72,58 +91,27 @@ def trace(a) -> complex:
     return complex(np.trace(a))
 
 
-def _cholesky_lower(b: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a Hermitian positive-definite matrix.
-
-    Raises RankDeficientError when the smallest pivot falls below
-    _PIVOT_RTOL times the largest, which is how a rank-deficient A
-    manifests in B = A A^H.
-    """
-    n = b.shape[0]
-    low = np.zeros_like(b)
-    pivots = np.empty(n)
-    for k in range(n):
-        d = b[k, k].real - np.sum(np.abs(low[k, :k]) ** 2)
-        pivots[k] = d
-        if d <= 0 or (k > 0 and d < _PIVOT_RTOL * pivots[: k + 1].max()):
-            raise RankDeficientError(
-                f"pivot {k} of the normal-equations matrix is {d:.3e}"
-            )
-        low[k, k] = np.sqrt(d)
-        if k + 1 < n:
-            low[k + 1 :, k] = (
-                b[k + 1 :, k] - low[k + 1 :, :k] @ low[k, :k].conj()
-            ) / low[k, k]
-    if pivots.min() < _PIVOT_RTOL * pivots.max():
-        raise RankDeficientError(
-            f"pivot ratio {pivots.min() / pivots.max():.3e} below {_PIVOT_RTOL:.0e}"
-        )
-    return low
-
-
-def _solve_cholesky(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^H) x = rhs by forward and back substitution."""
-    n = low.shape[0]
-    y = np.zeros_like(rhs)
-    for i in range(n):
-        y[i] = (rhs[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.zeros_like(rhs)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1 :, i].conj() @ x[i + 1 :]) / low[i, i].real
-    return x
-
-
 def right_pinv(a) -> np.ndarray:
     """Right pseudo-inverse A^+ = A^H (A A^H)^{-1} of a fat full-row-rank matrix.
 
     Satisfies A @ right_pinv(A) == I.  Raises RankDeficientError when the
-    rows are numerically dependent.
+    rows are numerically dependent: the Gram matrix A A^H is not positive
+    definite, or its smallest Cholesky pivot is below _PIVOT_RTOL times
+    the largest.
     """
     a = as_cmatrix(a)
     rows, cols = a.shape
     if rows > cols:
         raise ValueError(f"right_pinv needs rows <= cols, got {a.shape}")
     gram = a @ a.conj().T
-    low = _cholesky_lower(gram)
-    inv_gram = _solve_cholesky(low, np.eye(rows, dtype=np.complex128))
-    return a.conj().T @ inv_gram
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise RankDeficientError("the normal-equations matrix is not positive definite") from None
+    pivots = np.diagonal(low).real ** 2
+    if pivots.min() < _PIVOT_RTOL * pivots.max():
+        raise RankDeficientError(
+            f"pivot ratio {pivots.min() / pivots.max():.3e} below {_PIVOT_RTOL:.0e}"
+        )
+    # (A A^H)^{-1} A, conjugate-transposed: the Gram matrix is Hermitian
+    return np.linalg.solve(gram, a).conj().T

@@ -42,7 +42,7 @@ def sinr_report(effective: np.ndarray, noise_power: float) -> SinrReport:
     if noise_power <= 0:
         raise ValueError("noise_power must be > 0")
     powers = np.abs(effective) ** 2
-    desired = np.diag(powers)
+    desired = powers.diagonal()
     interference = powers.sum(axis=1) - desired
     sinr = desired / (interference + noise_power)
     min_sinr = float(sinr.min())
@@ -50,7 +50,7 @@ def sinr_report(effective: np.ndarray, noise_power: float) -> SinrReport:
         per_uav_sinr=sinr,
         min_sinr=min_sinr,
         min_sinr_db=linear_to_db(min_sinr),
-        sum_rate=float(np.sum(np.log2(1.0 + sinr))),
+        sum_rate=float(np.log2(1.0 + sinr).sum()),
     )
 
 

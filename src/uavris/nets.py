@@ -152,6 +152,13 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     return mlp_forward_cached(net, x)[0]
 
 
+def _backprop(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``g @ w``.  A layer with one output makes it an outer product,
+    which a broadcast multiply computes with the same bits as the
+    matmul and without its BLAS call."""
+    return g * w if g.shape[1] == 1 else g @ w
+
+
 def mlp_gradients(
     net: Mlp,
     cache,
@@ -195,9 +202,9 @@ def mlp_gradients(
             np.matmul(g.T, activations[l], out=w_grads[l])
             np.sum(g, axis=0, out=b_grads[l])
         if l > 0:
-            g = g @ net.weights[l]
+            g = _backprop(g, net.weights[l])
         elif wrt != "params":
-            g = g @ net.weights[0][:, input_columns]
+            g = _backprop(g, net.weights[0][:, input_columns])
     if wrt != "params":
         input_grad = g[0] if single else g
     return w_grads, b_grads, input_grad

@@ -19,7 +19,8 @@ general; it is kept behind a flag for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,9 +38,14 @@ __all__ = [
     "quantize_one_bit",
     "random_search_step",
     "RankDeficientError",
+    "ZeroBeamformerError",
 ]
 
 _POWER_SLACK = 1e-9
+
+
+class ZeroBeamformerError(ValueError):
+    """The raw precoder is all zeros, so no scaling meets the power budget."""
 
 
 @dataclass(frozen=True)
@@ -49,21 +55,24 @@ class BeamformingMatrix:
 
     f_hat: np.ndarray
     p_max: float
+    _power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.f_hat, dtype=np.complex128)
         if f.ndim != 2:
             raise ValueError("f_hat must be a matrix")
-        if not np.all(np.isfinite(f)):
+        # one reduction checks both: a finite power has only finite entries
+        power = float(np.sum(np.abs(f) ** 2))
+        if not math.isfinite(power) and not np.isfinite(f).all():
             raise ValueError("f_hat contains non-finite entries")
-        power = self.transmit_power
         if power > self.p_max * (1.0 + _POWER_SLACK) + _POWER_SLACK:
             raise ValueError(f"power {power} exceeds budget {self.p_max}")
         object.__setattr__(self, "f_hat", f)
+        object.__setattr__(self, "_power", power)
 
     @property
     def transmit_power(self) -> float:
-        return float(np.sum(np.abs(self.f_hat) ** 2))
+        return self._power
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,7 @@ class AssociationMatrix:
         a = np.asarray(self.assoc)
         if a.ndim != 2:
             raise ValueError("assoc must be a matrix")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("assoc entries must be 0 or 1")
         if not (a.sum(axis=1) == 1).all():
             raise ValueError("each assoc row must sum to exactly 1")
@@ -93,19 +102,23 @@ def ic_beamforming(
     phases: PhaseConfig,
     p_max: float,
     trace_scaling: bool = False,
+    cascade: np.ndarray | None = None,
 ) -> BeamformingMatrix:
     """Interference-cancelling precoder for a fixed phase configuration.
 
-    Raises RankDeficientError when the cascaded channel is not full row
-    rank, i.e. this phase configuration is infeasible for IC.
+    ``cascade`` is ``cascaded_channel(channels, phases)`` when the caller
+    already holds it; by default it is computed here.  Raises
+    RankDeficientError when the cascaded channel is not full row rank,
+    i.e. this phase configuration is infeasible for IC.
     """
-    cascade = cascaded_channel(channels, phases)
+    if cascade is None:
+        cascade = cascaded_channel(channels, phases)
     f_tilde = right_pinv(cascade)
     norm_sq = float(np.sum(np.abs(f_tilde) ** 2))
     if trace_scaling:
         f_hat = p_max * f_tilde / norm_sq
     else:
-        f_hat = np.sqrt(p_max / norm_sq) * f_tilde
+        f_hat = math.sqrt(p_max / norm_sq) * f_tilde
     return BeamformingMatrix(f_hat=f_hat, p_max=p_max)
 
 
@@ -135,24 +148,23 @@ def decode_association(raw: np.ndarray, n_uav: int) -> AssociationMatrix:
     raw = np.asarray(raw, dtype=float)
     if raw.size % n_uav != 0:
         raise ValueError(f"raw length {raw.size} not divisible by n_uav {n_uav}")
-    scores = raw.reshape(-1, n_uav)
-    assoc = np.zeros_like(scores, dtype=np.int8)
-    assoc[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1
-    return AssociationMatrix(assoc=assoc)
+    winners = np.argmax(raw.reshape(-1, n_uav), axis=1)
+    return AssociationMatrix(assoc=np.eye(n_uav, dtype=np.int8)[winners])
 
 
 def normalize_beamformer(raw: np.ndarray, n_bs: int, n_uav: int, p_max: float) -> BeamformingMatrix:
     """Raw real/imag pairs -> precoder rescaled so the power budget binds
-    with equality.  Scale-invariant in the raw vector."""
-    raw = np.asarray(raw, dtype=float)
+    with equality.  Scale-invariant in the raw vector.  Raises
+    ZeroBeamformerError (a ValueError) when the raw vector is all zeros."""
+    raw = np.ascontiguousarray(raw, dtype=float)
     if raw.size != 2 * n_bs * n_uav:
         raise ValueError(f"raw length {raw.size} != 2*{n_bs}*{n_uav}")
-    pairs = raw.reshape(n_bs * n_uav, 2)
-    f = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n_bs, n_uav)
+    # consecutive (real, imag) pairs are the memory layout of complex128
+    f = raw.reshape(-1).view(np.complex128).reshape(n_bs, n_uav)
     norm_sq = float(np.sum(np.abs(f) ** 2))
     if norm_sq == 0.0:
-        raise ValueError("all-zero beamformer cannot be normalized")
-    return BeamformingMatrix(f_hat=np.sqrt(p_max / norm_sq) * f, p_max=p_max)
+        raise ZeroBeamformerError("all-zero beamformer cannot be normalized")
+    return BeamformingMatrix(f_hat=math.sqrt(p_max / norm_sq) * f, p_max=p_max)
 
 
 def quantize_one_bit(phases: PhaseConfig) -> PhaseConfig:

@@ -6,7 +6,7 @@ producing the same per-step trace format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -120,15 +120,19 @@ def run_training(
     objective = Objective(objective)
     if hyper is None:
         hyper = default_hyperparams(variant)
-    env = DownlinkEnv(config, variant, objective=objective, one_bit=one_bit)
-    rng = np.random.default_rng(seed)
-    agent = DdpgAgent.create(env.state_dim, env.action_dim, hyper, rng)
-
     if total_steps is not None:
         episodes = -(-total_steps // steps_per_episode)
         total = total_steps
     else:
         total = episodes * steps_per_episode
+    # a run never holds more transitions than it takes steps, so a larger
+    # ring would never wrap either: the run is the same, in less memory
+    capacity = max(1, min(hyper.buffer_capacity, total))
+    hyper = replace(hyper, buffer_capacity=capacity)
+    env = DownlinkEnv(config, variant, objective=objective, one_bit=one_bit)
+    rng = np.random.default_rng(seed)
+    agent = DdpgAgent.create(env.state_dim, env.action_dim, hyper, rng)
+
     n_uav = config.n_uav
     min_sinr_db = np.full(total, np.nan)
     per_uav = np.full((total, n_uav), np.nan)

@@ -170,6 +170,32 @@ class TestPhaseMatrix:
         assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
 
 
+class TestPhaseConfig:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PhaseConfig(np.array([0.0, bad]))
+
+    def test_rejects_matrix(self):
+        with pytest.raises(ValueError, match="1-D"):
+            PhaseConfig(np.zeros((2, 2)))
+
+    def test_wraps_into_range(self):
+        theta = PhaseConfig(np.array([-np.pi, 3 * np.pi])).theta
+        np.testing.assert_allclose(theta, [np.pi, np.pi])
+
+
+class TestChannelSetChecks:
+    def test_rejects_non_finite(self):
+        from uavris.channel import ChannelSet
+
+        with pytest.raises(ValueError, match="non-finite"):
+            ChannelSet(
+                g_stacked=np.array([[1.0 + np.nan * 1j]]), h_stacked=np.ones((1, 1)),
+                pathloss_bs_ris=np.ones(1), pathloss_ris_uav=np.ones((1, 1)),
+            )
+
+
 class TestCascadedChannel:
     def test_identity_phases(self, channels):
         casc = cascaded_channel(channels, PhaseConfig(np.zeros(32)))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from uavris import training
 from uavris.agent import DdpgAgent, DdpgHyperparams
-from uavris.channel import cascaded_channel
+from uavris.channel import PhaseConfig, assemble_channels, cascaded_channel
 from uavris.env import (
     MIN_SINR_CLIP_DB,
     PENALTY_DB,
@@ -11,8 +12,15 @@ from uavris.env import (
     Objective,
     Variant,
 )
-from uavris.metrics import sinr_report
+from uavris.metrics import linear_to_db, sinr_report
 from uavris.scene import default_config
+from uavris.solvers import (
+    BeamformingMatrix,
+    RankDeficientError,
+    decode_association,
+    oresou_phases,
+    quantize_one_bit,
+)
 from uavris.training import (
     RANDOM_SEARCH,
     TrainingTrace,
@@ -144,6 +152,190 @@ class TestEnvStep:
         np.testing.assert_allclose(outcome.report.per_uav_sinr, redo.per_uav_sinr, rtol=1e-12)
 
 
+class TestStepRejectsMalformedActions:
+    # a malformed action is a caller error, not an infeasible step
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_wrong_shape_raises(self, config, variant):
+        env = DownlinkEnv(config, variant)
+        env.reset(np.random.default_rng(1))
+        with pytest.raises(ValueError, match="action shape"):
+            env.step(np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_non_finite_raises(self, config, variant, bad):
+        env = DownlinkEnv(config, variant)
+        env.reset(np.random.default_rng(1))
+        action = np.random.default_rng(2).uniform(-1, 1, env.action_dim)
+        action[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            env.step(action)
+        with pytest.raises(ValueError, match="non-finite"):
+            env.decode(action)
+
+
+def _reference_state(env, prev_feature):
+    ch = env.channels
+    n = env.config.elements_per_ris
+    g_norm = ch.g_stacked / np.repeat(ch.pathloss_bs_ris, n)[:, np.newaxis]
+    h_norm = ch.h_stacked / np.repeat(ch.pathloss_ris_uav.T, n, axis=1)
+    return np.concatenate(
+        [
+            h_norm.real.ravel(),
+            h_norm.imag.ravel(),
+            g_norm.real.ravel(),
+            g_norm.imag.ravel(),
+            [prev_feature],
+        ]
+    )
+
+
+def _reference_right_pinv(a):
+    """A^H (A A^H)^{-1} by an explicit Cholesky factorization and forward
+    and back substitution, as right_pinv computed it before LAPACK."""
+    gram = a @ a.conj().T
+    n = gram.shape[0]
+    low = np.zeros_like(gram)
+    for k in range(n):
+        d = gram[k, k].real - np.sum(np.abs(low[k, :k]) ** 2)
+        if d <= 0:
+            raise RankDeficientError("not positive definite")
+        low[k, k] = np.sqrt(d)
+        low[k + 1 :, k] = (gram[k + 1 :, k] - low[k + 1 :, :k] @ low[k, :k].conj()) / low[k, k]
+    rhs = np.eye(n, dtype=np.complex128)
+    y = np.zeros_like(rhs)
+    for i in range(n):
+        y[i] = (rhs[i] - low[i, :i] @ y[:i]) / low[i, i]
+    x = np.zeros_like(rhs)
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - low[i + 1 :, i].conj() @ x[i + 1 :]) / low[i, i].real
+    return a.conj().T @ x
+
+
+def _reference_beamformer(raw, c):
+    pairs = np.asarray(raw, dtype=float).reshape(-1, 2)
+    f = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(c.n_bs_antennas, c.n_uav)
+    norm_sq = float(np.sum(np.abs(f) ** 2))
+    if norm_sq == 0.0:
+        raise ValueError("all-zero beamformer")
+    return BeamformingMatrix(f_hat=np.sqrt(c.p_max / norm_sq) * f, p_max=c.p_max)
+
+
+def _reference_report(effective, noise_power):
+    powers = np.abs(effective) ** 2
+    desired = np.diag(powers)
+    sinr = desired / (powers.sum(axis=1) - desired + noise_power)
+    min_sinr = float(sinr.min())
+    return sinr, min_sinr, linear_to_db(min_sinr), float(np.sum(np.log2(1.0 + sinr)))
+
+
+def _reference_step(env, action, prev_feature):
+    """One env step written out the way it was before the state features
+    were kept per channel realization and the cascade computed once per
+    step: the state rebuilt from the channels, the IC cascade computed
+    for the precoder and again for the SINRs.  Returns (state, reward,
+    phases or None, f_hat or None, report tuple or None, next feature)."""
+    c = env.config
+    ne = c.n_ris_elements
+    ch = env.channels
+    try:
+        if env.variant is Variant.ORESOU:
+            split = ne * c.n_uav
+            assoc = decode_association(action[:split], c.n_uav)
+            f_hat = _reference_beamformer(action[split:], c)
+            phases = oresou_phases(assoc, ch, f_hat)
+            if env.one_bit:
+                phases = quantize_one_bit(phases)
+        else:
+            phases = PhaseConfig(theta=np.pi * (action[:ne] + 1.0))
+            if env.one_bit:
+                phases = quantize_one_bit(phases)
+            if env.variant is Variant.IC:
+                f_tilde = _reference_right_pinv(cascaded_channel(ch, phases))
+                scale = np.sqrt(c.p_max / float(np.sum(np.abs(f_tilde) ** 2)))
+                f_hat = BeamformingMatrix(f_hat=scale * f_tilde, p_max=c.p_max)
+            else:
+                f_hat = _reference_beamformer(action[ne:], c)
+    except (RankDeficientError, ValueError):
+        feature = PENALTY_DB / REWARD_SCALE
+        return _reference_state(env, feature), feature, None, None, None, feature
+    report = _reference_report(cascaded_channel(ch, phases) @ f_hat.f_hat, c.noise_power)
+    clipped_db = float(np.clip(report[2], *MIN_SINR_CLIP_DB))
+    if env.objective is Objective.MAX_MIN_SINR:
+        reward = clipped_db / REWARD_SCALE
+    else:
+        reward = report[3] / REWARD_SCALE
+    feature = clipped_db / REWARD_SCALE
+    return _reference_state(env, feature), reward, phases, f_hat, report, feature
+
+
+class TestStepMatchesReference:
+    """The step equals its from-scratch reference: bit for bit for ORESOU
+    and JOINT, within rounding for IC, whose precoder comes from a
+    different factorization.  The run crosses a reset and a direct
+    assignment of ``env.channels``, and every 25th JOINT or ORESOU action
+    has an all-zero precoder part, an infeasible step."""
+
+    STEPS = 300
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("one_bit", [False, True])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_random_actions(self, config, variant, one_bit, objective):
+        env = DownlinkEnv(config, variant, objective=objective, one_bit=one_bit)
+        rng = np.random.default_rng(11)
+        state = env.reset(rng)
+        np.testing.assert_array_equal(state, _reference_state(env, 0.0))
+        exact = variant is not Variant.IC
+        beam = 2 * config.n_bs_antennas * config.n_uav
+        feature = 0.0
+        infeasible = 0
+        for t in range(self.STEPS):
+            if t == self.STEPS // 3:
+                state = env.reset(rng)
+                feature = 0.0
+                np.testing.assert_array_equal(state, _reference_state(env, 0.0))
+            if t == 2 * self.STEPS // 3:
+                env.channels = assemble_channels(config, env.geometry, rng)
+            action = rng.uniform(-1.0, 1.0, env.action_dim)
+            if exact and t % 25 == 24:
+                action[-beam:] = 0.0
+            ref_state, ref_reward, ref_phases, ref_f_hat, ref_report, feature = (
+                _reference_step(env, action, feature)
+            )
+            state, outcome = env.step(action)
+
+            assert outcome.feasible == (ref_phases is not None)
+            if not outcome.feasible:
+                infeasible += 1
+                assert outcome.phases is outcome.f_hat is outcome.report is None
+                assert outcome.reward == ref_reward
+                np.testing.assert_array_equal(state, ref_state)
+                continue
+            np.testing.assert_array_equal(outcome.phases.theta, ref_phases.theta)
+            report = outcome.report
+            got = (report.per_uav_sinr, report.min_sinr, report.min_sinr_db, report.sum_rate)
+            if exact:
+                np.testing.assert_array_equal(outcome.f_hat.f_hat, ref_f_hat.f_hat)
+                for value, ref in zip(got, ref_report):
+                    np.testing.assert_array_equal(value, ref)
+                assert outcome.reward == ref_reward
+                np.testing.assert_array_equal(state, ref_state)
+            else:
+                error = np.linalg.norm(outcome.f_hat.f_hat - ref_f_hat.f_hat)
+                assert error <= 1e-12 * np.linalg.norm(ref_f_hat.f_hat)
+                # linear SINRs and rates relative, dB values (near 0) absolute
+                sinr, min_sinr, min_sinr_db, sum_rate = got
+                np.testing.assert_allclose(sinr, ref_report[0], rtol=1e-12)
+                assert min_sinr == pytest.approx(ref_report[1], rel=1e-12)
+                assert min_sinr_db == pytest.approx(ref_report[2], abs=1e-9)
+                assert sum_rate == pytest.approx(ref_report[3], rel=1e-12)
+                assert outcome.reward == pytest.approx(ref_reward, abs=1e-9 / REWARD_SCALE)
+                np.testing.assert_array_equal(state[:-1], ref_state[:-1])
+                assert state[-1] == pytest.approx(ref_state[-1], abs=1e-9 / REWARD_SCALE)
+        assert infeasible == (self.STEPS // 25 if exact else 0)
+
+
 class TestTrainingTrace:
     def _trace(self, min_db, feasible):
         n = len(min_db)
@@ -233,6 +425,23 @@ class TestRunTraining:
                 hyper=fast_hyper(),
             )
         assert len(calls) == 3
+
+
+    @pytest.mark.parametrize("capacity,expected", [(100_000, 30), (12, 12)])
+    def test_replay_buffer_sized_to_the_run(self, config, monkeypatch, capacity, expected):
+        agents = []
+        create = DdpgAgent.create.__func__
+
+        def recording(cls, *args, **kwargs):
+            agents.append(create(cls, *args, **kwargs))
+            return agents[-1]
+
+        monkeypatch.setattr(training.DdpgAgent, "create", classmethod(recording))
+        run_training(
+            config, Variant.IC, total_steps=30, steps_per_episode=10,
+            hyper=fast_hyper(buffer_capacity=capacity),
+        )
+        assert agents[0].buffer.capacity == expected
 
 
 class TestRunRandomSearch:

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavris.linalg import (
+    _PIVOT_RTOL,
     RankDeficientError,
+    all_finite,
     diag_embed,
     hermitian,
     kron,
@@ -155,3 +157,52 @@ class TestRightPinv:
     def test_too_many_rows(self, rng):
         with pytest.raises(ValueError):
             right_pinv(random_cmatrix(rng, 4, 2))
+
+    def test_non_positive_definite_gram(self):
+        # a zero row makes A A^H singular, so the factorization itself fails
+        a = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(RankDeficientError, match="not positive definite"):
+            right_pinv(a)
+
+    def test_pivot_ratio_below_tolerance(self):
+        # the Cholesky pivots of A A^H are 1 and about 1e-12: it factors,
+        # but the ratio falls below _PIVOT_RTOL
+        assert 1e-12 < _PIVOT_RTOL < 1e-8
+        a = np.array([[1.0, 0.0, 0.0], [1.0, 1e-6, 0.0]])
+        with pytest.raises(RankDeficientError, match="pivot ratio"):
+            right_pinv(a)
+
+    def test_pivot_ratio_above_tolerance(self):
+        # pivots 1 and 1e-8: ill-conditioned (the normal equations square
+        # the condition number to 4e8) but inverted
+        a = np.array([[1.0, 0.0, 0.0], [1.0, 1e-4, 0.0]])
+        np.testing.assert_allclose(a @ right_pinv(a), np.eye(2), atol=1e-6)
+
+    def test_rank_deficient_is_a_linalg_error(self):
+        assert issubclass(RankDeficientError, np.linalg.LinAlgError)
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([1.0, -2.0, 3.5]),
+            np.array([1.0, np.nan]),
+            np.array([np.inf, 1.0]),
+            np.array([np.inf, -np.inf]),
+            np.array([1.0 + 2.0j, 3.0 + np.inf * 1j]),
+            np.array([[1.0, 2.0], [3.0, 4.0]]),
+            np.zeros(0),
+            np.arange(4),
+        ],
+    )
+    def test_matches_isfinite(self, a):
+        with np.errstate(invalid="ignore"):  # inf - inf in the sum
+            assert all_finite(a) == bool(np.isfinite(a).all())
+
+    def test_overflowing_sum_of_finite_entries(self):
+        # the sum overflows to inf, so the elementwise test decides
+        a = np.array([1e308, 1e308, -1e308])
+        with np.errstate(over="ignore"):
+            assert all_finite(a)
+            assert all_finite(a.astype(np.complex128))

@@ -4,6 +4,7 @@ import pytest
 from uavris.nets import (
     Adam,
     Mlp,
+    _backprop,
     flatten_gradients,
     mlp_forward,
     mlp_forward_cached,
@@ -214,6 +215,24 @@ class TestPrecision:
         _, _, cols = mlp_gradients(net, cache, upstream, wrt="input", input_columns=self.ACTIONS)
         np.testing.assert_allclose(cols, full[:, self.ACTIONS], rtol=0,
                                    atol=1e-12 * np.abs(full).max())
+
+
+class TestBackprop:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outer_product_has_the_matmul_bits(self, dtype):
+        # a one-output layer backpropagates an (n, 1) @ (1, m) product
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            g = rng.standard_normal((int(rng.integers(1, 100)), 1)).astype(dtype)
+            w = rng.standard_normal((1, int(rng.integers(1, 200)))).astype(dtype)
+            out = _backprop(g, w)
+            assert out.dtype == dtype
+            assert out.tobytes() == (g @ w).tobytes()
+
+    def test_wider_inner_dimension_is_the_matmul(self):
+        rng = np.random.default_rng(15)
+        g, w = rng.standard_normal((8, 3)), rng.standard_normal((3, 5))
+        assert _backprop(g, w).tobytes() == (g @ w).tobytes()
 
 
 class TestAdam:

@@ -7,6 +7,7 @@ from uavris.solvers import (
     AssociationMatrix,
     BeamformingMatrix,
     RankDeficientError,
+    ZeroBeamformerError,
     decode_association,
     ic_beamforming,
     normalize_beamformer,
@@ -34,6 +35,20 @@ class TestBeamformingMatrix:
         with pytest.raises(ValueError):
             BeamformingMatrix(f_hat=np.array([[np.inf]]), p_max=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_nonfinite_named_even_under_an_infinite_budget(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            BeamformingMatrix(f_hat=np.array([[1.0, bad]]), p_max=np.inf)
+
+    def test_overflowing_power_is_over_budget(self):
+        # finite entries whose power overflows: over any finite budget
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="exceeds budget"):
+            BeamformingMatrix(f_hat=np.full((2, 2), 1e200), p_max=1.0)
+
+    def test_rejects_vector(self):
+        with pytest.raises(ValueError, match="matrix"):
+            BeamformingMatrix(f_hat=np.ones(2), p_max=10.0)
+
 
 class TestAssociationMatrix:
     def test_serving_uav(self):
@@ -47,6 +62,20 @@ class TestAssociationMatrix:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             AssociationMatrix(assoc=np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize("row", [[2, -1], [np.nan, 1.0], [1.0, np.inf]])
+    def test_rejects_non_binary_entries(self, row):
+        with pytest.raises(ValueError, match="0 or 1"):
+            AssociationMatrix(assoc=np.array([row]))
+
+    def test_rejects_empty_row(self):
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            AssociationMatrix(assoc=np.array([[1, 0], [0, 0]]))
+
+    def test_accepts_bool(self):
+        a = AssociationMatrix(assoc=np.array([[True, False], [False, True]]))
+        assert a.assoc.dtype == np.int8
+        np.testing.assert_array_equal(a.serving_uav, [0, 1])
 
 
 class TestIcBeamforming:
@@ -168,6 +197,15 @@ class TestNormalizeBeamformer:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             normalize_beamformer(np.zeros(16), 4, 2, 1.0)
+        with pytest.raises(ZeroBeamformerError):
+            normalize_beamformer(np.zeros(16), 4, 2, 1.0)
+
+    def test_result_does_not_alias_raw(self, rng):
+        raw = rng.standard_normal(16)
+        bm = normalize_beamformer(raw, 4, 2, 1.0)
+        before = bm.f_hat.copy()
+        raw[:] = 0.0
+        np.testing.assert_array_equal(bm.f_hat, before)
 
 
 class TestQuantizeOneBit:
