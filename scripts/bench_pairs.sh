@@ -11,12 +11,13 @@
 # wins (ties count for neither side), and whether the median gap exceeds
 # the parent's interquartile range.  Last, per seed, whether the two sides'
 # per-cell results (cell_best_db and cell_tail_db) are identical, and if
-# not, how many differ and by how much.  Each run's output and full result
-# JSON are kept in the directory named on the first line.
+# not, how many differ and by how much.  Before the tables, each side's
+# line count of src/uavris/*.py.  Each run's output and full result JSON
+# are kept in the directory named on the first line.
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
-    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 workload=$1
@@ -50,6 +51,12 @@ for seed in "$@"; do
         run_side "$side" "$seed"
     done
     pair=$((pair + 1))
+done
+
+echo
+for side in parent change; do
+    dir=$([ "$side" = parent ] && echo "$parent" || echo "$change")
+    echo "$side: $(cat "$dir"/src/uavris/*.py | wc -l) lines in src/uavris/*.py"
 done
 
 python3 - "$out" "$change/BENCHMARK.json" "$@" <<'EOF'

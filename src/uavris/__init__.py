@@ -4,7 +4,7 @@ interference cancellation and per-element phase compensation, a
 from-scratch DDPG engine and the experiment harness around them."""
 
 from .scene import SystemConfig, LinkGeometry, GeometrySet, link_geometry, build_geometry, default_config
-from .channel import ChannelSet, PhaseConfig, assemble_channels, cascaded_channel, phase_matrix
+from .channel import ChannelSet, PhaseConfig, assemble_channels, cascaded_channel
 from .metrics import SinrReport, sinr_report, dbm_to_watts, db_to_linear, linear_to_db
 from .solvers import (
     BeamformingMatrix,

@@ -46,15 +46,12 @@ class DdpgHyperparams:
     noise_std: float = 0.2
     noise_decay: float = 0.9995
     warmup_steps: int = 1000
-    updates_per_step: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
         if not 0.0 < self.soft_update_tau <= 1.0:
             raise ValueError("soft_update_tau must be in (0, 1]")
-        if self.updates_per_step < 1:
-            raise ValueError("updates_per_step must be >= 1")
 
 
 class ReplayBuffer:
@@ -136,10 +133,6 @@ class DdpgAgent:
             buffer=ReplayBuffer(hyper.buffer_capacity, state_dim, action_dim),
             hyper=hyper,
         )
-
-    @property
-    def action_dim(self) -> int:
-        return self.actor.layer_dims[-1]
 
     def policy(self, state: np.ndarray) -> np.ndarray:
         return mlp_forward(self.actor, state).astype(np.float64)

@@ -1,5 +1,5 @@
-"""Channel synthesis: steering vectors, LoS components, Rician fading,
-the diagonal phase-control matrix and the cascaded end-to-end channel.
+"""Channel synthesis: steering vectors, LoS components, Rician fading
+and the cascaded end-to-end channel through the diagonal phase control.
 
 Conventions fixed here (the model leaves them open):
   * phase-control entries are exp(j*theta) -- unit modulus is the
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import all_finite, diag_embed
+from .linalg import all_finite
 from .scene import GeometrySet, LinkGeometry, SystemConfig
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "draw_nlos",
     "pathloss_amplitude",
     "assemble_channels",
-    "phase_matrix",
     "cascaded_channel",
 ]
 
@@ -203,11 +202,6 @@ def assemble_channels(
         pathloss_bs_ris=pl_g,
         pathloss_ris_uav=pl_h,
     )
-
-
-def phase_matrix(phases: PhaseConfig) -> np.ndarray:
-    """Diagonal phase-control matrix with unit-modulus entries exp(j*theta)."""
-    return diag_embed(np.exp(1j * phases.theta))
 
 
 def cascaded_channel(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:

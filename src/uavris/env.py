@@ -35,7 +35,7 @@ from .solvers import (
 __all__ = ["Variant", "Objective", "StepOutcome", "DownlinkEnv", "REWARD_SCALE", "PENALTY_DB"]
 
 REWARD_SCALE = 10.0  # dB (and rate) divided by this before storage
-PENALTY_DB = -40.0  # reward for infeasible (rank-deficient) IC actions
+PENALTY_DB = -40.0  # reward for infeasible actions (rank-deficient IC, a zero precoder column)
 MIN_SINR_CLIP_DB = (-40.0, 60.0)
 
 
@@ -62,10 +62,10 @@ class StepOutcome:
 class DownlinkEnv:
     """One (config, variant, objective) environment instance.
 
-    Channels are redrawn on reset (once per training episode) and held
-    fixed within the episode.  The state is the pathloss-normalized
-    channel entries (real and imaginary parts) plus the previous step's
-    reward-scaled min-SINR, 0 at episode start.  The channel entries are
+    Channels are redrawn on reset and held fixed until the next one.
+    The state is the pathloss-normalized channel entries (real and
+    imaginary parts) plus the previous step's reward-scaled min-SINR, 0
+    after a reset.  The channel entries are
     computed once per channel realization, whenever ``channels`` is
     assigned (``reset`` does so); arrays of a ``ChannelSet`` changed in
     place are not seen by the state.
@@ -82,6 +82,15 @@ class DownlinkEnv:
         self.variant = Variant(variant)
         self.objective = Objective(objective)
         self.one_bit = one_bit
+        ne = config.n_ris_elements
+        beam = 2 * config.n_bs_antennas * config.n_uav
+        self.state_dim = 2 * config.n_uav * ne + 2 * ne * config.n_bs_antennas + 1
+        if self.variant is Variant.IC:
+            self.action_dim = ne
+        elif self.variant is Variant.ORESOU:
+            self.action_dim = ne * config.n_uav + beam
+        else:
+            self.action_dim = ne + beam
         self.geometry = build_geometry(config)
         self.channels = None
         self._prev_min_sinr_feature = 0.0
@@ -94,23 +103,6 @@ class DownlinkEnv:
     def channels(self, channels: ChannelSet | None) -> None:
         self._channels = channels
         self._features = None if channels is None else self._channel_features(channels)
-
-    @property
-    def state_dim(self) -> int:
-        c = self.config
-        ne = c.n_ris_elements
-        return 2 * c.n_uav * ne + 2 * ne * c.n_bs_antennas + 1
-
-    @property
-    def action_dim(self) -> int:
-        c = self.config
-        ne = c.n_ris_elements
-        beam = 2 * c.n_bs_antennas * c.n_uav
-        if self.variant is Variant.IC:
-            return ne
-        if self.variant is Variant.ORESOU:
-            return ne * c.n_uav + beam
-        return ne + beam
 
     def _channel_features(self, ch: ChannelSet) -> np.ndarray:
         """The state with its last entry, the min-SINR feature, left at 0."""
@@ -151,8 +143,8 @@ class DownlinkEnv:
 
         Raises ValueError for an action of the wrong shape or with
         non-finite entries.  Raises RankDeficientError (IC) or
-        ZeroBeamformerError (all-zero raw precoder) when the action has
-        no feasible decoding.
+        ZeroBeamformerError (a raw precoder column of zeros) when the
+        action has no feasible decoding.
         """
         phases, f_hat, _ = self._decode(self._checked_action(action))
         return phases, f_hat

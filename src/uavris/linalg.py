@@ -1,11 +1,11 @@
-"""Complex dense linear algebra primitives.
+"""The linear algebra of the interference-cancelling precoder.
 
-Matrices are plain 2-D complex128 numpy arrays.  The only nontrivial
-routine is the right pseudo-inverse used by the interference-cancelling
-precoder.  It goes through the normal equations A @ A^H: LAPACK's
-Cholesky factorization (``np.linalg.cholesky``) detects rank deficiency
-from the pivot ratio instead of an SVD, and one LAPACK solve
-(``np.linalg.solve``) applies the inverse.
+``right_pinv`` is the right pseudo-inverse of a 2-D complex128 matrix,
+the inverse behind the IC precoder.  It goes through the normal
+equations A @ A^H: LAPACK's Cholesky factorization
+(``np.linalg.cholesky``) detects rank deficiency from the pivot ratio
+instead of an SVD, and one LAPACK solve (``np.linalg.solve``) applies
+the inverse.
 
 ``all_finite`` is the finiteness check of the value types built on every
 environment step (phases, precoders, actions): one reduction where the
@@ -18,17 +18,7 @@ import cmath
 
 import numpy as np
 
-__all__ = [
-    "RankDeficientError",
-    "all_finite",
-    "as_cmatrix",
-    "matmul",
-    "hermitian",
-    "kron",
-    "diag_embed",
-    "trace",
-    "right_pinv",
-]
+__all__ = ["RankDeficientError", "all_finite", "right_pinv"]
 
 # smallest admissible Cholesky pivot, relative to the largest one
 _PIVOT_RTOL = 1e-10
@@ -49,48 +39,6 @@ def all_finite(a: np.ndarray) -> bool:
     return cmath.isfinite(a.sum()) or bool(np.isfinite(a).all())
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array, validating shape and entries."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not all_finite(m):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def hermitian(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_cmatrix(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
-def diag_embed(v) -> np.ndarray:
-    """Square diagonal matrix with the entries of ``v`` on its diagonal."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError("diag_embed expects a 1-D vector")
-    return np.diag(v)
-
-
-def trace(a) -> complex:
-    a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
 def right_pinv(a) -> np.ndarray:
     """Right pseudo-inverse A^+ = A^H (A A^H)^{-1} of a fat full-row-rank matrix.
 
@@ -99,7 +47,11 @@ def right_pinv(a) -> np.ndarray:
     definite, or its smallest Cholesky pivot is below _PIVOT_RTOL times
     the largest.
     """
-    a = as_cmatrix(a)
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if not all_finite(a):
+        raise ValueError("matrix contains non-finite entries")
     rows, cols = a.shape
     if rows > cols:
         raise ValueError(f"right_pinv needs rows <= cols, got {a.shape}")

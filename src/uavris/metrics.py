@@ -16,7 +16,6 @@ __all__ = [
     "SinrReport",
     "sinr_report",
     "dbm_to_watts",
-    "watts_to_dbm",
     "db_to_linear",
     "linear_to_db",
 ]
@@ -56,12 +55,6 @@ def sinr_report(effective: np.ndarray, noise_power: float) -> SinrReport:
 
 def dbm_to_watts(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(x_watts: float) -> float:
-    if x_watts <= 0:
-        raise ValueError("power must be > 0 to convert to dBm")
-    return 10.0 * np.log10(x_watts) + 30.0
 
 
 def db_to_linear(x_db: float) -> float:

@@ -12,9 +12,7 @@ the feasible set:
     phase offset so assigned contributions add coherently.
 
 The pseudo-inverse scaling uses F_hat = sqrt(p_max / tr(Ft^H Ft)) * Ft,
-which meets tr(F_hat^H F_hat) = p_max with equality.  The alternative
-scaling p_max * Ft / tr(Ft^H Ft) does not satisfy the power budget in
-general; it is kept behind a flag for comparison.
+which meets tr(F_hat^H F_hat) = p_max with equality.
 """
 
 from __future__ import annotations
@@ -45,7 +43,8 @@ _POWER_SLACK = 1e-9
 
 
 class ZeroBeamformerError(ValueError):
-    """The raw precoder is all zeros, so no scaling meets the power budget."""
+    """The raw precoder has an all-zero column: no scaling gives that UAV
+    any power, so its SINR is 0."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ def ic_beamforming(
     channels: ChannelSet,
     phases: PhaseConfig,
     p_max: float,
-    trace_scaling: bool = False,
     cascade: np.ndarray | None = None,
 ) -> BeamformingMatrix:
     """Interference-cancelling precoder for a fixed phase configuration.
@@ -115,11 +113,7 @@ def ic_beamforming(
         cascade = cascaded_channel(channels, phases)
     f_tilde = right_pinv(cascade)
     norm_sq = float(np.sum(np.abs(f_tilde) ** 2))
-    if trace_scaling:
-        f_hat = p_max * f_tilde / norm_sq
-    else:
-        f_hat = math.sqrt(p_max / norm_sq) * f_tilde
-    return BeamformingMatrix(f_hat=f_hat, p_max=p_max)
+    return BeamformingMatrix(f_hat=math.sqrt(p_max / norm_sq) * f_tilde, p_max=p_max)
 
 
 def oresou_phases(
@@ -155,15 +149,18 @@ def decode_association(raw: np.ndarray, n_uav: int) -> AssociationMatrix:
 def normalize_beamformer(raw: np.ndarray, n_bs: int, n_uav: int, p_max: float) -> BeamformingMatrix:
     """Raw real/imag pairs -> precoder rescaled so the power budget binds
     with equality.  Scale-invariant in the raw vector.  Raises
-    ZeroBeamformerError (a ValueError) when the raw vector is all zeros."""
+    ZeroBeamformerError (a ValueError) when some UAV's precoder column is
+    all zeros, the all-zero raw vector included."""
     raw = np.ascontiguousarray(raw, dtype=float)
     if raw.size != 2 * n_bs * n_uav:
         raise ValueError(f"raw length {raw.size} != 2*{n_bs}*{n_uav}")
     # consecutive (real, imag) pairs are the memory layout of complex128
     f = raw.reshape(-1).view(np.complex128).reshape(n_bs, n_uav)
+    served = f.any(axis=0)
+    if not served.all():
+        uavs = ", ".join(str(u) for u in np.flatnonzero(~served))
+        raise ZeroBeamformerError(f"all-zero precoder column for UAV {uavs}")
     norm_sq = float(np.sum(np.abs(f) ** 2))
-    if norm_sq == 0.0:
-        raise ZeroBeamformerError("all-zero beamformer cannot be normalized")
     return BeamformingMatrix(f_hat=math.sqrt(p_max / norm_sq) * f, p_max=p_max)
 
 

@@ -23,9 +23,12 @@ __all__ = [
     "run_training",
     "run_random_search",
     "RANDOM_SEARCH",
+    "STEPS_PER_EPISODE",
 ]
 
 RANDOM_SEARCH = "RANDOM"
+# steps between channel redraws, in training and in the random search
+STEPS_PER_EPISODE = 200
 
 
 def default_hyperparams(variant: Variant | str) -> DdpgHyperparams:
@@ -96,21 +99,18 @@ class TrainingTrace:
 def run_training(
     config: SystemConfig,
     variant: Variant | str,
-    episodes: int = 50,
-    steps_per_episode: int = 200,
+    total_steps: int,
     seed: int = 0,
     objective: Objective | str = Objective.MAX_MIN_SINR,
     one_bit: bool = False,
     hyper: DdpgHyperparams | None = None,
-    total_steps: int | None = None,
 ) -> TrainingTrace:
-    """Run one DDPG training loop and return its trace.
+    """Run ``total_steps`` steps of one DDPG training loop and return its trace.
 
-    Each episode draws a fresh channel realization; each step selects an
-    action (random during warmup, noisy policy afterwards), decodes and
-    evaluates it, stores the transition and performs one critic + actor
-    update once the warmup is over.  ``total_steps`` caps the iteration
-    count exactly (the last episode may be cut short).  ``hyper=None``
+    Every ``STEPS_PER_EPISODE`` steps the channels are redrawn; each step
+    selects an action (random during warmup, noisy policy afterwards),
+    decodes and evaluates it, stores the transition and performs one
+    critic + actor update once the warmup is over.  ``hyper=None``
     selects the per-variant defaults from ``default_hyperparams``.
 
     Raises ``FloatingPointError``, naming the variant, seed and step, as
@@ -120,66 +120,54 @@ def run_training(
     objective = Objective(objective)
     if hyper is None:
         hyper = default_hyperparams(variant)
-    if total_steps is not None:
-        episodes = -(-total_steps // steps_per_episode)
-        total = total_steps
-    else:
-        total = episodes * steps_per_episode
     # a run never holds more transitions than it takes steps, so a larger
     # ring would never wrap either: the run is the same, in less memory
-    capacity = max(1, min(hyper.buffer_capacity, total))
+    capacity = max(1, min(hyper.buffer_capacity, total_steps))
     hyper = replace(hyper, buffer_capacity=capacity)
     env = DownlinkEnv(config, variant, objective=objective, one_bit=one_bit)
     rng = np.random.default_rng(seed)
     agent = DdpgAgent.create(env.state_dim, env.action_dim, hyper, rng)
 
     n_uav = config.n_uav
-    min_sinr_db = np.full(total, np.nan)
-    per_uav = np.full((total, n_uav), np.nan)
-    sum_rate = np.zeros(total)
-    rewards = np.zeros(total)
-    feasible = np.zeros(total, dtype=bool)
+    min_sinr_db = np.full(total_steps, np.nan)
+    per_uav = np.full((total_steps, n_uav), np.nan)
+    sum_rate = np.zeros(total_steps)
+    rewards = np.zeros(total_steps)
+    feasible = np.zeros(total_steps, dtype=bool)
     best_val = -np.inf
     best = (None, None, -1)
 
     noise_std = hyper.noise_std
-    t = 0
-    for _ in range(episodes):
-        if t >= total:
-            break
-        state = env.reset(rng)
-        for _ in range(steps_per_episode):
-            if t >= total:
-                break
-            if t < hyper.warmup_steps:
-                action = rng.uniform(-1.0, 1.0, env.action_dim)
-            else:
-                action = agent.select_action(state, noise_std, rng)
-                noise_std *= hyper.noise_decay
-            next_state, outcome = env.step(action)
-            agent.buffer.push(state, action, outcome.reward, next_state)
-            state = next_state
+    for t in range(total_steps):
+        if t % STEPS_PER_EPISODE == 0:
+            state = env.reset(rng)
+        if t < hyper.warmup_steps:
+            action = rng.uniform(-1.0, 1.0, env.action_dim)
+        else:
+            action = agent.select_action(state, noise_std, rng)
+            noise_std *= hyper.noise_decay
+        next_state, outcome = env.step(action)
+        agent.buffer.push(state, action, outcome.reward, next_state)
+        state = next_state
 
-            rewards[t] = outcome.reward
-            feasible[t] = outcome.feasible
-            if outcome.feasible:
-                rep = outcome.report
-                min_sinr_db[t] = rep.min_sinr_db
-                per_uav[t] = rep.per_uav_sinr_db
-                sum_rate[t] = rep.sum_rate
-                if rep.min_sinr_db > best_val:
-                    best_val = rep.min_sinr_db
-                    best = (outcome.phases, outcome.f_hat, t)
+        rewards[t] = outcome.reward
+        feasible[t] = outcome.feasible
+        if outcome.feasible:
+            rep = outcome.report
+            min_sinr_db[t] = rep.min_sinr_db
+            per_uav[t] = rep.per_uav_sinr_db
+            sum_rate[t] = rep.sum_rate
+            if rep.min_sinr_db > best_val:
+                best_val = rep.min_sinr_db
+                best = (outcome.phases, outcome.f_hat, t)
 
-            if t >= hyper.warmup_steps and agent.buffer.size >= hyper.batch_size:
-                for _ in range(hyper.updates_per_step):
-                    loss, mean_q = agent.train_step(rng)
-                    if not (math.isfinite(loss) and math.isfinite(mean_q)):
-                        raise FloatingPointError(
-                            f"{variant.value} seed {seed} diverged at step {t}: "
-                            f"critic loss {loss}, mean Q {mean_q}"
-                        )
-            t += 1
+        if t >= hyper.warmup_steps and agent.buffer.size >= hyper.batch_size:
+            loss, mean_q = agent.train_step(rng)
+            if not (math.isfinite(loss) and math.isfinite(mean_q)):
+                raise FloatingPointError(
+                    f"{variant.value} seed {seed} diverged at step {t}: "
+                    f"critic loss {loss}, mean Q {mean_q}"
+                )
 
     trace = TrainingTrace(
         algorithm=variant.value,
@@ -202,10 +190,10 @@ def run_random_search(
     iterations: int = 10_000,
     seed: int = 0,
     one_bit: bool = False,
-    redraw_every: int = 200,
 ) -> TrainingTrace:
     """Random-search baseline: independent feasible draws of phases and
-    precoder, channels redrawn on the same schedule as a training episode."""
+    precoder, channels redrawn every ``STEPS_PER_EPISODE`` iterations as
+    in training."""
     rng = np.random.default_rng(seed)
     geometry = build_geometry(config)
     n_uav = config.n_uav
@@ -217,7 +205,7 @@ def run_random_search(
     best = (None, None, -1)
     channels = None
     for t in range(iterations):
-        if t % redraw_every == 0:
+        if t % STEPS_PER_EPISODE == 0:
             channels = assemble_channels(config, geometry, rng)
         phases, f_hat, report = random_search_step(
             rng, channels, config.p_max, config.noise_power, one_bit=one_bit

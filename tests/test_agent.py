@@ -57,7 +57,7 @@ class TestDdpgAgent:
         agent = DdpgAgent.create(5, 3, small_hyper(), np.random.default_rng(0))
         assert agent.actor.layer_dims == [5, 16, 16, 3]
         assert agent.critic.layer_dims == [8, 16, 16, 1]
-        assert agent.action_dim == 3
+        assert agent.actor.layer_dims[-1] == 3
         np.testing.assert_array_equal(agent.actor.flat, agent.target_actor.flat)
         np.testing.assert_array_equal(agent.critic.flat, agent.target_critic.flat)
 

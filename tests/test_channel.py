@@ -9,7 +9,6 @@ from uavris.channel import (
     los_bs_ris,
     los_ris_uav,
     pathloss_amplitude,
-    phase_matrix,
     rician_combine,
     steering_ris,
     steering_bs,
@@ -153,21 +152,6 @@ class TestAssembleChannels:
         b = assemble_channels(config, geometry, np.random.default_rng(42))
         np.testing.assert_array_equal(a.g_stacked, b.g_stacked)
         np.testing.assert_array_equal(a.h_stacked, b.h_stacked)
-
-
-class TestPhaseMatrix:
-    def test_zero_phases_identity(self):
-        np.testing.assert_array_equal(phase_matrix(PhaseConfig(np.zeros(4))), np.eye(4))
-
-    def test_pi_phases(self):
-        m = phase_matrix(PhaseConfig(np.full(3, np.pi)))
-        np.testing.assert_allclose(np.diag(m), -np.ones(3))
-
-    def test_unit_modulus(self, rng):
-        theta = rng.uniform(0, 2 * np.pi, 32)
-        m = phase_matrix(PhaseConfig(theta))
-        np.testing.assert_allclose(np.abs(np.diag(m)), 1.0, atol=1e-14)
-        assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
 
 
 class TestPhaseConfig:

@@ -130,6 +130,21 @@ class TestEnvStep:
         assert outcome.report is None
         assert state[-1] == pytest.approx(PENALTY_DB / REWARD_SCALE)
 
+    @pytest.mark.parametrize("variant", [Variant.JOINT, Variant.ORESOU])
+    def test_zero_precoder_column_penalized(self, config, variant):
+        # UAV 0 gets no power, so its SINR is 0: an infeasible step, not
+        # a -inf dB report
+        env = DownlinkEnv(config, variant)
+        env.reset(np.random.default_rng(5))
+        action = np.random.default_rng(6).uniform(-1, 1, env.action_dim)
+        beam = action[-2 * config.n_bs_antennas * config.n_uav :]
+        beam.reshape(config.n_bs_antennas, config.n_uav, 2)[:, 0, :] = 0.0
+        state, outcome = env.step(action)
+        assert not outcome.feasible
+        assert outcome.report is None
+        assert outcome.reward == PENALTY_DB / REWARD_SCALE
+        assert state[-1] == PENALTY_DB / REWARD_SCALE
+
     def test_rank_deficient_ic_penalized(self):
         # co-located UAVs give identical rows -> IC infeasible for any phases
         cfg = default_config(uav_positions=((2.0, 6.0, 10.0), (2.0, 6.0, 10.0)))
@@ -369,12 +384,15 @@ class TestTrainingTrace:
 
 
 class TestRunTraining:
+    @pytest.fixture(autouse=True)
+    def short_episodes(self, monkeypatch):
+        monkeypatch.setattr(training, "STEPS_PER_EPISODE", 10)
+
     def test_short_run_shapes(self, config):
         trace = run_training(
             config,
             Variant.IC,
             total_steps=30,
-            steps_per_episode=10,
             seed=0,
             hyper=fast_hyper(),
         )
@@ -386,21 +404,17 @@ class TestRunTraining:
         assert trace.best_phases is not None
 
     def test_total_steps_exact_cap(self, config):
-        trace = run_training(
-            config, Variant.JOINT, total_steps=25, steps_per_episode=10, hyper=fast_hyper()
-        )
+        trace = run_training(config, Variant.JOINT, total_steps=25, hyper=fast_hyper())
         assert trace.n_steps == 25
 
     def test_seed_reproducibility(self, config):
-        kw = dict(total_steps=20, steps_per_episode=10, seed=3, hyper=fast_hyper())
+        kw = dict(total_steps=20, seed=3, hyper=fast_hyper())
         a = run_training(config, Variant.ORESOU, **kw)
         b = run_training(config, Variant.ORESOU, **kw)
         np.testing.assert_array_equal(a.min_sinr_db, b.min_sinr_db)
 
     def test_best_solution_verifiable(self, config):
-        trace = run_training(
-            config, Variant.IC, total_steps=20, steps_per_episode=10, hyper=fast_hyper()
-        )
+        trace = run_training(config, Variant.IC, total_steps=20, hyper=fast_hyper())
         # the stored best must reproduce the recorded best value on the
         # episode's channels; re-derive them from the same seed schedule
         assert trace.final_best_min_sinr_db == pytest.approx(
@@ -420,10 +434,7 @@ class TestRunTraining:
         monkeypatch.setattr(DdpgAgent, "train_step", poisoned)
         # warmup 4, batch 8: updates start at step 7, so the third is step 9
         with pytest.raises(FloatingPointError, match=r"^IC seed 5 diverged at step 9: "):
-            run_training(
-                config, Variant.IC, total_steps=30, steps_per_episode=10, seed=5,
-                hyper=fast_hyper(),
-            )
+            run_training(config, Variant.IC, total_steps=30, seed=5, hyper=fast_hyper())
         assert len(calls) == 3
 
 
@@ -438,8 +449,7 @@ class TestRunTraining:
 
         monkeypatch.setattr(training.DdpgAgent, "create", classmethod(recording))
         run_training(
-            config, Variant.IC, total_steps=30, steps_per_episode=10,
-            hyper=fast_hyper(buffer_capacity=capacity),
+            config, Variant.IC, total_steps=30, hyper=fast_hyper(buffer_capacity=capacity)
         )
         assert agents[0].buffer.capacity == expected
 

@@ -1,129 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from uavris.linalg import (
-    _PIVOT_RTOL,
-    RankDeficientError,
-    all_finite,
-    diag_embed,
-    hermitian,
-    kron,
-    matmul,
-    right_pinv,
-    trace,
-)
+from uavris.linalg import _PIVOT_RTOL, RankDeficientError, all_finite, right_pinv
 
 from conftest import random_cmatrix
-
-
-def naive_matmul(a, b):
-    # independent triple-loop oracle
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        a = random_cmatrix(rng, 2, 3)
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_imaginary_unit(self):
-        np.testing.assert_allclose(matmul([[1j]], [[1j]]), [[-1.0 + 0j]])
-
-    def test_against_naive_loop(self, rng):
-        a = random_cmatrix(rng, 3, 2)
-        b = random_cmatrix(rng, 2, 4)
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            matmul(random_cmatrix(rng, 2, 3), random_cmatrix(rng, 2, 3))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            matmul([[np.nan]], [[1.0]])
-
-
-class TestHermitian:
-    def test_scalar(self):
-        np.testing.assert_array_equal(hermitian([[1 + 1j]]), [[1 - 1j]])
-
-    def test_involution(self, rng):
-        a = random_cmatrix(rng, 3, 5)
-        np.testing.assert_array_equal(hermitian(hermitian(a)), a)
-
-    def test_reverses_products(self, rng):
-        a = random_cmatrix(rng, 3, 3)
-        b = random_cmatrix(rng, 3, 3)
-        np.testing.assert_allclose(
-            hermitian(matmul(a, b)), matmul(hermitian(b), hermitian(a)), atol=1e-12
-        )
-
-
-class TestKron:
-    def test_scalar_one_identity(self, rng):
-        b = random_cmatrix(rng, 2, 3)
-        np.testing.assert_array_equal(kron([[1.0]], b), b)
-
-    def test_all_ones_columns(self):
-        ones = [[1.0], [1.0]]
-        np.testing.assert_array_equal(kron(ones, ones), np.ones((4, 1)))
-
-    def test_index_formula(self, rng):
-        a = random_cmatrix(rng, 2, 1)
-        b = random_cmatrix(rng, 3, 1)
-        c = kron(a, b)
-        for i in range(2):
-            for k in range(3):
-                assert c[i * 3 + k, 0] == pytest.approx(a[i, 0] * b[k, 0], rel=1e-14)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_mixed_product_property(self, seed):
-        r = np.random.default_rng(seed)
-        a, b = random_cmatrix(r, 2, 2), random_cmatrix(r, 2, 3)
-        c, d = random_cmatrix(r, 2, 2), random_cmatrix(r, 3, 2)
-        lhs = matmul(kron(a, b), kron(c, d))
-        rhs = kron(matmul(a, c), matmul(b, d))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-class TestDiagEmbed:
-    def test_identity(self):
-        np.testing.assert_array_equal(diag_embed([1.0, 1.0]), np.eye(2))
-
-    def test_off_diagonals_zero(self):
-        m = diag_embed([1j, -1j])
-        assert m[0, 1] == 0 and m[1, 0] == 0
-
-    def test_trace_is_sum(self, rng):
-        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert trace(diag_embed(v)) == pytest.approx(np.sum(v))
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(np.eye(4)) == 4
-
-    def test_complex_diag(self):
-        assert trace(diag_embed([1 + 1j, 2.0])) == pytest.approx(3 + 1j)
-
-    def test_gram_trace_is_frobenius(self, rng):
-        a = random_cmatrix(rng, 4, 3)
-        t = trace(matmul(hermitian(a), a))
-        assert t.imag == pytest.approx(0.0, abs=1e-12)
-        assert t.real == pytest.approx(np.sum(np.abs(a) ** 2))
-        assert t.real >= 0
-
-    def test_non_square_errors(self, rng):
-        with pytest.raises(ValueError):
-            trace(random_cmatrix(rng, 2, 3))
 
 
 class TestRightPinv:
@@ -139,7 +19,7 @@ class TestRightPinv:
 
     def test_residual(self, rng):
         a = random_cmatrix(rng, 2, 4)
-        res = matmul(a, right_pinv(a)) - np.eye(2)
+        res = a @ right_pinv(a) - np.eye(2)
         assert np.linalg.norm(res) <= 1e-10
 
     def test_residual_sweep(self):
@@ -157,6 +37,20 @@ class TestRightPinv:
     def test_too_many_rows(self, rng):
         with pytest.raises(ValueError):
             right_pinv(random_cmatrix(rng, 4, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_nonfinite(self, rng, bad):
+        a = random_cmatrix(rng, 2, 4)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            right_pinv(a)
+
+    @pytest.mark.parametrize(
+        "a", [np.ones(4), np.ones((1, 2, 4)), np.float64(1.0)], ids=["1-D", "3-D", "scalar"]
+    )
+    def test_rejects_non_matrix(self, a):
+        with pytest.raises(ValueError, match="2-D"):
+            right_pinv(a)
 
     def test_non_positive_definite_gram(self):
         # a zero row makes A A^H singular, so the factorization itself fails

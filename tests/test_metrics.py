@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from uavris.metrics import (
-    db_to_linear,
-    dbm_to_watts,
-    linear_to_db,
-    sinr_report,
-    watts_to_dbm,
-)
+from uavris.metrics import db_to_linear, dbm_to_watts, linear_to_db, sinr_report
 
 
 class TestConversions:
@@ -16,10 +10,6 @@ class TestConversions:
         assert dbm_to_watts(0.0) == pytest.approx(1e-3)
         assert dbm_to_watts(-100.0) == pytest.approx(1e-13)
         assert dbm_to_watts(45.0) == pytest.approx(10 ** 1.5)
-
-    def test_dbm_round_trip(self):
-        for x in (-100.0, -3.0, 0.0, 20.0, 45.0):
-            assert watts_to_dbm(dbm_to_watts(x)) == pytest.approx(x, abs=1e-12)
 
     def test_db_fixed_points(self):
         assert db_to_linear(0.0) == pytest.approx(1.0)
@@ -30,8 +20,6 @@ class TestConversions:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             linear_to_db(0.0)
-        with pytest.raises(ValueError):
-            watts_to_dbm(-1.0)
 
 
 class TestSinrReport:
