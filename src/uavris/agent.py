@@ -11,6 +11,7 @@ actions, and stored transitions are rounded on ``push``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +49,24 @@ class DdpgHyperparams:
     warmup_steps: int = 1000
 
     def __post_init__(self):
+        if not all(d >= 1 for d in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be >= 1, got {self.hidden_dims}")
+        for name in ("actor_lr", "critic_lr"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
         if not 0.0 < self.soft_update_tau <= 1.0:
             raise ValueError("soft_update_tau must be in (0, 1]")
+        for name in ("batch_size", "buffer_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be >= 0 and finite")
+        if not 0.0 < self.noise_decay <= 1.0:
+            raise ValueError("noise_decay must be in (0, 1]")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be >= 0")
 
 
 class ReplayBuffer:

@@ -2,6 +2,11 @@
 (objective fairness, min-SINR vs transmit power, one-bit vs continuous),
 CSV emission and plot-script generation.
 
+Each study lists its cells, (algorithm, p_max_dbm, seed, objective,
+one_bit) tuples, in run order; one runner runs them one at a time and
+hands each finished trace to the study's row builder before the next
+cell starts, so a study holds no more than one trace at a time.
+
 CSV conventions: UTF-8, comma-separated, header row, floats printed with
 6 significant digits.  Every file is deterministic given (spec, seeds).
 """
@@ -20,7 +25,7 @@ from .agent import DdpgHyperparams
 from .env import Objective, Variant
 from .metrics import db_to_linear, dbm_to_watts
 from .scene import SystemConfig
-from .training import RANDOM_SEARCH, TrainingTrace, run_random_search, run_training
+from .training import RANDOM_SEARCH, TrainingTrace, run_training
 
 __all__ = [
     "SpecError",
@@ -134,14 +139,12 @@ def load_spec(path) -> ExperimentSpec:
     for key, value in raw.items():
         if key == "scenario":
             kwargs["scenario"] = _build_scenario(value or {})
-        elif key == "ddpg":
-            if value is None:
-                continue
+        elif key == "ddpg" and value is not None:
             try:
                 kwargs["ddpg"] = DdpgHyperparams(**{
-                    k: _tuplify(v) for k, v in (value or {}).items()
+                    k: _tuplify(v) for k, v in value.items()
                 })
-            except (TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise SpecError(f"ddpg: {exc}") from exc
         elif key in known:
             kwargs[key] = _tuplify(value)
@@ -174,17 +177,7 @@ def run_algorithm(
     hyper: DdpgHyperparams | None = None,
 ) -> TrainingTrace:
     """Run one (algorithm, config, seed) cell and return its trace."""
-    if algorithm == RANDOM_SEARCH:
-        return run_random_search(config, iterations=iterations, seed=seed, one_bit=one_bit)
-    return run_training(
-        config,
-        Variant(algorithm),
-        seed=seed,
-        objective=objective,
-        one_bit=one_bit,
-        hyper=hyper,
-        total_steps=iterations,
-    )
+    return run_training(config, algorithm, iterations, seed, objective, one_bit, hyper)
 
 
 def _fmt(x) -> str:
@@ -195,13 +188,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(spec: ExperimentSpec, header: list[str], rows: list[list]) -> Path:
+    """Write ``<output_dir>/<experiment>.csv`` and return its path."""
+    path = Path(spec.output_dir) / f"{spec.experiment}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
+    return path
 
 
 def _trace_rows(trace: TrainingTrace, p_max_dbm: float, window: int) -> list[list]:
@@ -228,95 +224,80 @@ def _per_step_header(n_uav: int) -> list[str]:
     )
 
 
+def _run_cells(spec: ExperimentSpec, experiment: str, cells):
+    """Run each (algorithm, p_max_dbm, seed, objective, one_bit) cell in
+    order and yield it with its trace."""
+    if spec.experiment != experiment:
+        raise SpecError(f"experiment is {spec.experiment!r}, expected {experiment!r}")
+    for cell in cells:
+        algorithm, p_max_dbm, seed, objective, one_bit = cell
+        config = spec.scenario.with_p_max(dbm_to_watts(p_max_dbm))
+        yield cell, run_algorithm(
+            algorithm,
+            config,
+            spec.iterations,
+            seed,
+            objective=objective,
+            one_bit=one_bit,
+            hyper=spec.ddpg,
+        )
+
+
 def run_fairness(spec: ExperimentSpec, p_max_dbm: float = 35.0) -> Path:
     """Joint-DRL training under the max-sum-rate and then the max-min-SINR
     objective; per-step rows with rolling averages."""
-    if spec.experiment != "fairness":
-        raise SpecError(f"experiment is {spec.experiment!r}, expected 'fairness'")
-    config = spec.scenario.with_p_max(dbm_to_watts(p_max_dbm))
+    cells = [
+        (Variant.JOINT.value, p_max_dbm, seed, objective.value, spec.one_bit)
+        for objective in (Objective.MAX_SUM_RATE, Objective.MAX_MIN_SINR)
+        for seed in spec.seeds
+    ]
     rows = []
-    for objective in (Objective.MAX_SUM_RATE, Objective.MAX_MIN_SINR):
-        for seed in spec.seeds:
-            trace = run_algorithm(
-                Variant.JOINT.value,
-                config,
-                spec.iterations,
-                seed,
-                objective=objective.value,
-                one_bit=spec.one_bit,
-                hyper=spec.ddpg,
-            )
-            rows.extend(_trace_rows(trace, p_max_dbm, spec.rolling_window))
-    out = Path(spec.output_dir) / "fairness.csv"
-    _write_csv(out, _per_step_header(spec.scenario.n_uav), rows)
-    return out
+    for _, trace in _run_cells(spec, "fairness", cells):
+        rows.extend(_trace_rows(trace, p_max_dbm, spec.rolling_window))
+    return _write_csv(spec, _per_step_header(spec.scenario.n_uav), rows)
 
 
 def run_pmax_sweep(spec: ExperimentSpec) -> Path:
     """Best min-SINR per (algorithm, p_max, seed) cell plus seed means."""
-    if spec.experiment != "pmax_sweep":
-        raise SpecError(f"experiment is {spec.experiment!r}, expected 'pmax_sweep'")
-    rows = []
-    for algorithm in spec.algorithms:
-        for p_dbm in spec.p_max_grid_dbm:
-            config = spec.scenario.with_p_max(dbm_to_watts(p_dbm))
-            cell = []
-            for seed in spec.seeds:
-                trace = run_algorithm(
-                    algorithm,
-                    config,
-                    spec.iterations,
-                    seed,
-                    objective=spec.objective,
-                    one_bit=spec.one_bit,
-                    hyper=spec.ddpg,
-                )
-                cell.append(trace.final_best_min_sinr_db)
-                rows.append([algorithm, p_dbm, seed, trace.final_best_min_sinr_db])
-            rows.append([algorithm, p_dbm, "mean", float(np.mean(cell))])
-    out = Path(spec.output_dir) / "pmax_sweep.csv"
-    _write_csv(out, ["algorithm", "p_max_dbm", "seed", "best_min_sinr_db"], rows)
-    return out
+    cells = [
+        (algorithm, p_dbm, seed, spec.objective, spec.one_bit)
+        for algorithm in spec.algorithms
+        for p_dbm in spec.p_max_grid_dbm
+        for seed in spec.seeds
+    ]
+    rows, group = [], []
+    for (algorithm, p_dbm, seed, _, _), trace in _run_cells(spec, "pmax_sweep", cells):
+        group.append(trace.final_best_min_sinr_db)
+        rows.append([algorithm, p_dbm, seed, group[-1]])
+        if len(group) == len(spec.seeds):
+            rows.append([algorithm, p_dbm, "mean", float(np.mean(group))])
+            group = []
+    return _write_csv(spec, ["algorithm", "p_max_dbm", "seed", "best_min_sinr_db"], rows)
 
 
 def run_onebit_table(spec: ExperimentSpec, p_max_dbm: float = 45.0) -> Path:
     """Continuous vs one-bit best min-SINR per algorithm, with the
     continuous-minus-one-bit difference, per seed and seed mean."""
-    if spec.experiment != "onebit_table":
-        raise SpecError(f"experiment is {spec.experiment!r}, expected 'onebit_table'")
-    config = spec.scenario.with_p_max(dbm_to_watts(p_max_dbm))
-    rows = []
-    for algorithm in spec.algorithms:
-        by_mode = {}
-        for one_bit in (False, True):
-            vals = []
-            for seed in spec.seeds:
-                trace = run_algorithm(
-                    algorithm,
-                    config,
-                    spec.iterations,
-                    seed,
-                    objective=spec.objective,
-                    one_bit=one_bit,
-                    hyper=spec.ddpg,
-                )
-                vals.append(trace.final_best_min_sinr_db)
-            by_mode["one_bit" if one_bit else "continuous"] = vals
-        for i, seed in enumerate(spec.seeds):
-            rows.append([algorithm, seed, p_max_dbm, "continuous", by_mode["continuous"][i]])
-            rows.append([algorithm, seed, p_max_dbm, "one_bit", by_mode["one_bit"][i]])
-            rows.append(
-                [algorithm, seed, p_max_dbm, "difference",
-                 by_mode["continuous"][i] - by_mode["one_bit"][i]]
-            )
-        c_mean = float(np.mean(by_mode["continuous"]))
-        o_mean = float(np.mean(by_mode["one_bit"]))
-        rows.append([algorithm, "mean", p_max_dbm, "continuous", c_mean])
-        rows.append([algorithm, "mean", p_max_dbm, "one_bit", o_mean])
-        rows.append([algorithm, "mean", p_max_dbm, "difference", c_mean - o_mean])
-    out = Path(spec.output_dir) / "onebit_table.csv"
-    _write_csv(out, ["algorithm", "seed", "p_max_dbm", "mode", "min_sinr_db"], rows)
-    return out
+    cells = [
+        (algorithm, p_max_dbm, seed, spec.objective, one_bit)
+        for algorithm in spec.algorithms
+        for one_bit in (False, True)
+        for seed in spec.seeds
+    ]
+    n_seeds = len(spec.seeds)
+    rows, group = [], []
+    for (algorithm, _, _, _, _), trace in _run_cells(spec, "onebit_table", cells):
+        group.append(trace.final_best_min_sinr_db)
+        if len(group) < 2 * n_seeds:
+            continue
+        continuous, one_bit = group[:n_seeds], group[n_seeds:]
+        means = ("mean", float(np.mean(continuous)), float(np.mean(one_bit)))
+        for seed, c, o in [*zip(spec.seeds, continuous, one_bit), means]:
+            rows.append([algorithm, seed, p_max_dbm, "continuous", c])
+            rows.append([algorithm, seed, p_max_dbm, "one_bit", o])
+            rows.append([algorithm, seed, p_max_dbm, "difference", c - o])
+        group = []
+    return _write_csv(spec, ["algorithm", "seed", "p_max_dbm", "mode", "min_sinr_db"], rows)
 
 
 _PLOT_TEMPLATE = '''\

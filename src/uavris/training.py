@@ -1,6 +1,6 @@
-"""Training drivers: the DDPG loop over the downlink environment for the
-IC / ORESOU / joint variants, and the random-search baseline, both
-producing the same per-step trace format.
+"""The one training loop of all four algorithms: DDPG over the downlink
+environment for IC, ORESOU and JOINT_DRL, and the random-search baseline
+as JOINT_DRL's action layout under a random policy with no learner.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ import numpy as np
 from .agent import DdpgAgent, DdpgHyperparams
 from .channel import PhaseConfig
 from .env import DownlinkEnv, Objective, Variant
-from .scene import SystemConfig, build_geometry
-from .channel import assemble_channels
-from .solvers import BeamformingMatrix, random_search_step
+from .scene import SystemConfig
+from .solvers import BeamformingMatrix
 
 __all__ = [
     "TrainingTrace",
@@ -27,7 +26,7 @@ __all__ = [
 ]
 
 RANDOM_SEARCH = "RANDOM"
-# steps between channel redraws, in training and in the random search
+# steps between channel redraws
 STEPS_PER_EPISODE = 200
 
 
@@ -64,7 +63,6 @@ class TrainingTrace:
     min_sinr_db: np.ndarray  # (steps,)
     per_uav_sinr_db: np.ndarray  # (steps, N_U)
     sum_rate: np.ndarray  # (steps,)
-    reward: np.ndarray  # (steps,)
     feasible: np.ndarray  # (steps,) bool
     best_min_sinr_db: np.ndarray = field(init=False)  # running max
     best_step: int = -1
@@ -105,52 +103,59 @@ def run_training(
     one_bit: bool = False,
     hyper: DdpgHyperparams | None = None,
 ) -> TrainingTrace:
-    """Run ``total_steps`` steps of one DDPG training loop and return its trace.
+    """Run ``total_steps`` steps of a ``Variant`` or ``RANDOM_SEARCH`` and
+    return its trace.
 
     Every ``STEPS_PER_EPISODE`` steps the channels are redrawn; each step
-    selects an action (random during warmup, noisy policy afterwards),
-    decodes and evaluates it, stores the transition and performs one
-    critic + actor update once the warmup is over.  ``hyper=None``
-    selects the per-variant defaults from ``default_hyperparams``.
+    selects an action, decodes and evaluates it and records the outcome.
+    A DDPG variant acts at random during the warmup and by its noisy
+    policy afterwards, stores each transition and performs one critic +
+    actor update once the warmup is over.  ``hyper=None`` selects the
+    per-variant defaults from ``default_hyperparams``.  The random search
+    draws uniform phases and a Gaussian precoder for the JOINT_DRL
+    decoder, and ignores ``objective`` and ``hyper``: it has no learner
+    and keeps the best min-SINR draw.
 
     Raises ``FloatingPointError``, naming the variant, seed and step, as
     soon as an update returns a non-finite critic loss or mean Q.
     """
-    variant = Variant(variant)
-    objective = Objective(objective)
-    if hyper is None:
-        hyper = default_hyperparams(variant)
-    # a run never holds more transitions than it takes steps, so a larger
-    # ring would never wrap either: the run is the same, in less memory
-    capacity = max(1, min(hyper.buffer_capacity, total_steps))
-    hyper = replace(hyper, buffer_capacity=capacity)
+    learner = variant != RANDOM_SEARCH
+    variant = Variant(variant) if learner else Variant.JOINT
+    objective = Objective(objective) if learner else Objective.MAX_MIN_SINR
     env = DownlinkEnv(config, variant, objective=objective, one_bit=one_bit)
     rng = np.random.default_rng(seed)
-    agent = DdpgAgent.create(env.state_dim, env.action_dim, hyper, rng)
+    if learner:
+        if hyper is None:
+            hyper = default_hyperparams(variant)
+        # a run never holds more transitions than it takes steps, so a larger
+        # ring would never wrap either: the run is the same, in less memory
+        capacity = max(1, min(hyper.buffer_capacity, total_steps))
+        hyper = replace(hyper, buffer_capacity=capacity)
+        agent = DdpgAgent.create(env.state_dim, env.action_dim, hyper, rng)
+        noise_std = hyper.noise_std
 
-    n_uav = config.n_uav
     min_sinr_db = np.full(total_steps, np.nan)
-    per_uav = np.full((total_steps, n_uav), np.nan)
+    per_uav = np.full((total_steps, config.n_uav), np.nan)
     sum_rate = np.zeros(total_steps)
-    rewards = np.zeros(total_steps)
     feasible = np.zeros(total_steps, dtype=bool)
     best_val = -np.inf
     best = (None, None, -1)
 
-    noise_std = hyper.noise_std
     for t in range(total_steps):
         if t % STEPS_PER_EPISODE == 0:
             state = env.reset(rng)
-        if t < hyper.warmup_steps:
+        if not learner:
+            action = np.concatenate([
+                rng.uniform(-1.0, 1.0, config.n_ris_elements),
+                rng.standard_normal(2 * config.n_bs_antennas * config.n_uav),
+            ])
+        elif t < hyper.warmup_steps:
             action = rng.uniform(-1.0, 1.0, env.action_dim)
         else:
             action = agent.select_action(state, noise_std, rng)
             noise_std *= hyper.noise_decay
         next_state, outcome = env.step(action)
-        agent.buffer.push(state, action, outcome.reward, next_state)
-        state = next_state
 
-        rewards[t] = outcome.reward
         feasible[t] = outcome.feasible
         if outcome.feasible:
             rep = outcome.report
@@ -161,16 +166,19 @@ def run_training(
                 best_val = rep.min_sinr_db
                 best = (outcome.phases, outcome.f_hat, t)
 
-        if t >= hyper.warmup_steps and agent.buffer.size >= hyper.batch_size:
-            loss, mean_q = agent.train_step(rng)
-            if not (math.isfinite(loss) and math.isfinite(mean_q)):
-                raise FloatingPointError(
-                    f"{variant.value} seed {seed} diverged at step {t}: "
-                    f"critic loss {loss}, mean Q {mean_q}"
-                )
+        if learner:
+            agent.buffer.push(state, action, outcome.reward, next_state)
+            if t >= hyper.warmup_steps and agent.buffer.size >= hyper.batch_size:
+                loss, mean_q = agent.train_step(rng)
+                if not (math.isfinite(loss) and math.isfinite(mean_q)):
+                    raise FloatingPointError(
+                        f"{variant.value} seed {seed} diverged at step {t}: "
+                        f"critic loss {loss}, mean Q {mean_q}"
+                    )
+        state = next_state
 
     trace = TrainingTrace(
-        algorithm=variant.value,
+        algorithm=variant.value if learner else RANDOM_SEARCH,
         seed=seed,
         objective=objective.value,
         one_bit=one_bit,
@@ -178,7 +186,6 @@ def run_training(
         min_sinr_db=min_sinr_db,
         per_uav_sinr_db=per_uav,
         sum_rate=sum_rate,
-        reward=rewards,
         feasible=feasible,
     )
     trace.best_phases, trace.best_f_hat, trace.best_step = best
@@ -191,43 +198,5 @@ def run_random_search(
     seed: int = 0,
     one_bit: bool = False,
 ) -> TrainingTrace:
-    """Random-search baseline: independent feasible draws of phases and
-    precoder, channels redrawn every ``STEPS_PER_EPISODE`` iterations as
-    in training."""
-    rng = np.random.default_rng(seed)
-    geometry = build_geometry(config)
-    n_uav = config.n_uav
-
-    min_sinr_db = np.empty(iterations)
-    per_uav = np.empty((iterations, n_uav))
-    sum_rate = np.empty(iterations)
-    best_val = -np.inf
-    best = (None, None, -1)
-    channels = None
-    for t in range(iterations):
-        if t % STEPS_PER_EPISODE == 0:
-            channels = assemble_channels(config, geometry, rng)
-        phases, f_hat, report = random_search_step(
-            rng, channels, config.p_max, config.noise_power, one_bit=one_bit
-        )
-        min_sinr_db[t] = report.min_sinr_db
-        per_uav[t] = report.per_uav_sinr_db
-        sum_rate[t] = report.sum_rate
-        if report.min_sinr_db > best_val:
-            best_val = report.min_sinr_db
-            best = (phases, f_hat, t)
-
-    trace = TrainingTrace(
-        algorithm=RANDOM_SEARCH,
-        seed=seed,
-        objective=Objective.MAX_MIN_SINR.value,
-        one_bit=one_bit,
-        p_max=config.p_max,
-        min_sinr_db=min_sinr_db,
-        per_uav_sinr_db=per_uav,
-        sum_rate=sum_rate,
-        reward=min_sinr_db / 10.0,
-        feasible=np.ones(iterations, dtype=bool),
-    )
-    trace.best_phases, trace.best_f_hat, trace.best_step = best
-    return trace
+    """Random-search baseline: ``run_training`` of ``RANDOM_SEARCH``."""
+    return run_training(config, RANDOM_SEARCH, iterations, seed, one_bit=one_bit)

@@ -152,6 +152,40 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             DdpgHyperparams(soft_update_tau=0.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("hidden_dims", (128, 0)),
+            ("actor_lr", -1.0),
+            ("actor_lr", 0.0),
+            ("critic_lr", float("nan")),
+            ("critic_lr", float("inf")),
+            ("batch_size", 0),
+            ("buffer_capacity", 0),
+            ("noise_std", -0.1),
+            ("noise_decay", 1.5),
+            ("noise_decay", 0.0),
+            ("warmup_steps", -3),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DdpgHyperparams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("hidden_dims", ()),
+            ("batch_size", 1),
+            ("buffer_capacity", 1),
+            ("noise_std", 0.0),
+            ("noise_decay", 1.0),
+            ("warmup_steps", 0),
+        ],
+    )
+    def test_boundary_values_accepted(self, field, value):
+        assert getattr(DdpgHyperparams(**{field: value}), field) == value
+
 
 def _reference_backward(net, cache, g, input_columns=slice(None)):
     """Backward pass as first written: every product, fresh arrays; the

@@ -12,14 +12,15 @@ from uavris.env import (
     Objective,
     Variant,
 )
-from uavris.metrics import linear_to_db, sinr_report
-from uavris.scene import default_config
+from uavris.metrics import dbm_to_watts, linear_to_db, sinr_report
+from uavris.scene import build_geometry, default_config
 from uavris.solvers import (
     BeamformingMatrix,
     RankDeficientError,
     decode_association,
     oresou_phases,
     quantize_one_bit,
+    random_search_step,
 )
 from uavris.training import (
     RANDOM_SEARCH,
@@ -363,7 +364,6 @@ class TestTrainingTrace:
             min_sinr_db=np.array(min_db, dtype=float),
             per_uav_sinr_db=np.tile(np.array(min_db, dtype=float)[:, None], (1, 2)),
             sum_rate=np.zeros(n),
-            reward=np.zeros(n),
             feasible=np.array(feasible, dtype=bool),
         )
 
@@ -476,3 +476,43 @@ class TestRunRandomSearch:
         short = run_random_search(config, iterations=20, seed=2)
         long = run_random_search(config, iterations=400, seed=2)
         assert long.final_best_min_sinr_db >= short.final_best_min_sinr_db
+
+    @staticmethod
+    def _reference(config, iterations, seed, one_bit):
+        """The random search as its own loop over ``random_search_step``,
+        which the shared training loop replaced."""
+        rng = np.random.default_rng(seed)
+        geometry = build_geometry(config)
+        min_db = np.empty(iterations)
+        per_uav = np.empty((iterations, config.n_uav))
+        sum_rate = np.empty(iterations)
+        best_val, best = -np.inf, (None, None, -1)
+        for t in range(iterations):
+            if t % training.STEPS_PER_EPISODE == 0:
+                channels = assemble_channels(config, geometry, rng)
+            phases, f_hat, report = random_search_step(
+                rng, channels, config.p_max, config.noise_power, one_bit=one_bit
+            )
+            min_db[t] = report.min_sinr_db
+            per_uav[t] = report.per_uav_sinr_db
+            sum_rate[t] = report.sum_rate
+            if report.min_sinr_db > best_val:
+                best_val, best = report.min_sinr_db, (phases, f_hat, t)
+        return min_db, per_uav, sum_rate, best
+
+    @pytest.mark.parametrize("one_bit", [False, True])
+    @pytest.mark.parametrize("p_max_dbm", [20.0, 45.0])
+    def test_bit_identical_to_own_loop(self, p_max_dbm, one_bit):
+        config = default_config(p_max=dbm_to_watts(p_max_dbm))
+        trace = run_random_search(config, iterations=1200, seed=3, one_bit=one_bit)
+        min_db, per_uav, sum_rate, (phases, f_hat, step) = self._reference(
+            config, 1200, 3, one_bit
+        )
+        assert trace.feasible.all()
+        assert np.array_equal(trace.min_sinr_db, min_db)
+        assert np.array_equal(trace.per_uav_sinr_db, per_uav)
+        assert np.array_equal(trace.sum_rate, sum_rate)
+        assert np.array_equal(trace.best_min_sinr_db, np.maximum.accumulate(min_db))
+        assert trace.best_step == step
+        assert np.array_equal(trace.best_phases.theta, phases.theta)
+        assert np.array_equal(trace.best_f_hat.f_hat, f_hat.f_hat)

@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from uavris import experiments
 from uavris.agent import DdpgHyperparams
+from uavris.env import Objective
 from uavris.experiments import (
     ExperimentSpec,
     SpecError,
@@ -85,6 +88,31 @@ class TestLoadSaveSpec:
         spec = load_spec(p)
         assert spec.ddpg.hidden_dims == (32, 32)
         assert spec.ddpg.batch_size == 16
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "batch_size: 0",
+            "hidden_dims: [32, 0]",
+            "actor_lr: -1",
+            "noise_decay: 1.5",
+            "warmup_steps: -3",
+            "buffer_capacity: 0",
+        ],
+    )
+    def test_invalid_ddpg_value_is_spec_error(self, tmp_path, line):
+        p = tmp_path / "spec.yaml"
+        p.write_text(f"ddpg:\n  {line}\n")
+        field = line.split(":")[0]
+        with pytest.raises(SpecError, match=f"^ddpg: {field} "):
+            load_spec(p)
+
+    @pytest.mark.parametrize("value", ["5", "[]"])
+    def test_ddpg_not_a_mapping_is_spec_error(self, tmp_path, value):
+        p = tmp_path / "spec.yaml"
+        p.write_text(f"ddpg: {value}\n")
+        with pytest.raises(SpecError, match="^ddpg: "):
+            load_spec(p)
 
     def test_unknown_top_level_field(self, tmp_path):
         p = tmp_path / "spec.yaml"
@@ -192,6 +220,106 @@ class TestStudies:
         assert mean["difference"] == pytest.approx(
             mean["continuous"] - mean["one_bit"], abs=1e-4
         )
+
+
+def _reference_fairness(spec, p_max_dbm=35.0):
+    """run_fairness as the hand-written loop nest the cell runner replaced."""
+    config = spec.scenario.with_p_max(dbm_to_watts(p_max_dbm))
+    rows = []
+    for objective in (Objective.MAX_SUM_RATE, Objective.MAX_MIN_SINR):
+        for seed in spec.seeds:
+            trace = experiments.run_algorithm(
+                "JOINT_DRL", config, spec.iterations, seed,
+                objective=objective.value, one_bit=spec.one_bit, hyper=spec.ddpg,
+            )
+            rows.extend(experiments._trace_rows(trace, p_max_dbm, spec.rolling_window))
+    return experiments._write_csv(spec, experiments._per_step_header(spec.scenario.n_uav), rows)
+
+
+def _reference_pmax_sweep(spec):
+    rows = []
+    for algorithm in spec.algorithms:
+        for p_dbm in spec.p_max_grid_dbm:
+            config = spec.scenario.with_p_max(dbm_to_watts(p_dbm))
+            cell = []
+            for seed in spec.seeds:
+                trace = experiments.run_algorithm(
+                    algorithm, config, spec.iterations, seed,
+                    objective=spec.objective, one_bit=spec.one_bit, hyper=spec.ddpg,
+                )
+                cell.append(trace.final_best_min_sinr_db)
+                rows.append([algorithm, p_dbm, seed, trace.final_best_min_sinr_db])
+            rows.append([algorithm, p_dbm, "mean", float(np.mean(cell))])
+    header = ["algorithm", "p_max_dbm", "seed", "best_min_sinr_db"]
+    return experiments._write_csv(spec, header, rows)
+
+
+def _reference_onebit_table(spec, p_max_dbm=45.0):
+    config = spec.scenario.with_p_max(dbm_to_watts(p_max_dbm))
+    rows = []
+    for algorithm in spec.algorithms:
+        by_mode = {}
+        for one_bit in (False, True):
+            vals = []
+            for seed in spec.seeds:
+                trace = experiments.run_algorithm(
+                    algorithm, config, spec.iterations, seed,
+                    objective=spec.objective, one_bit=one_bit, hyper=spec.ddpg,
+                )
+                vals.append(trace.final_best_min_sinr_db)
+            by_mode[one_bit] = vals
+        for i, seed in enumerate(spec.seeds):
+            c, o = by_mode[False][i], by_mode[True][i]
+            rows.append([algorithm, seed, p_max_dbm, "continuous", c])
+            rows.append([algorithm, seed, p_max_dbm, "one_bit", o])
+            rows.append([algorithm, seed, p_max_dbm, "difference", c - o])
+        c_mean, o_mean = float(np.mean(by_mode[False])), float(np.mean(by_mode[True]))
+        rows.append([algorithm, "mean", p_max_dbm, "continuous", c_mean])
+        rows.append([algorithm, "mean", p_max_dbm, "one_bit", o_mean])
+        rows.append([algorithm, "mean", p_max_dbm, "difference", c_mean - o_mean])
+    header = ["algorithm", "seed", "p_max_dbm", "mode", "min_sinr_db"]
+    return experiments._write_csv(spec, header, rows)
+
+
+class TestStudiesMatchLoopNests:
+    """Each study runs the same cells, in the same order, and writes the
+    same bytes as its hand-written loop nest."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = experiments.run_algorithm
+
+        def recording(algorithm, config, iterations, seed, **kwargs):
+            calls.append((algorithm, config, iterations, seed, kwargs))
+            return original(algorithm, config, iterations, seed, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_algorithm", recording)
+        return calls
+
+    @pytest.mark.parametrize(
+        "experiment,study,reference",
+        [
+            ("fairness", run_fairness, _reference_fairness),
+            ("pmax_sweep", run_pmax_sweep, _reference_pmax_sweep),
+            ("onebit_table", run_onebit_table, _reference_onebit_table),
+        ],
+    )
+    def test_same_calls_and_bytes(self, tmp_path, calls, experiment, study, reference):
+        spec = tiny_spec(
+            experiment=experiment,
+            iterations=25,
+            seeds=(0, 1),
+            p_max_grid_dbm=(20.0, 45.0),
+            output_dir=str(tmp_path / "study"),
+        )
+        got = study(spec).read_bytes()
+        study_calls = list(calls)
+        calls.clear()
+        ref_spec = dataclasses.replace(spec, output_dir=str(tmp_path / "reference"))
+        assert reference(ref_spec).read_bytes() == got
+        assert study_calls == calls
+        assert len(calls) == {"fairness": 4, "pmax_sweep": 16, "onebit_table": 16}[experiment]
 
 
 class TestEmitPlotScript:
