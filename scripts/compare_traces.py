@@ -7,11 +7,15 @@
 Each checkout runs in its own subprocess, importing ``uavris`` from its
 own ``src/`` with one BLAS thread.  Each runs every algorithm in both
 phase modes, for each seed and transmit power (defaults: 1,300 steps,
-seeds 0-2, 20 and 45 dBm), with the per-variant default hyperparameters.
-Per trace field, the script prints how many cells are equal (NaN equal
-to NaN) and the largest |difference| over all cells, then the cells that
-differ.  A field only one side has is listed as such.  Exits 0 when every
-field both sides have is equal in every cell, 1 otherwise.
+seeds 0-2, 20 and 45 dBm), with the default hyperparameters.  Per trace
+field, the script prints how many cells are equal (NaN equal to NaN) and
+the largest |difference| over all cells, then the cells that differ.  A
+field only one side has is listed as such.  For each cell that differs
+in any field, it then prints both sides' best min-SINR, the step of that
+best, and the mean feasible min-SINR over the last fifth of the steps;
+last, the seed means of the best and of that tail mean per algorithm,
+phase mode and power.  Exits 0 when every field both sides have is equal
+in every cell, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ def dump(out: str, steps: int, seeds: list[int], powers: list[float]) -> None:
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         return float("inf")
+    a, b = np.atleast_1d(a), np.atleast_1d(b)  # best_step is 0-d
     if a.dtype == bool or b.dtype == bool:
         a, b = a.astype(float), b.astype(float)
     d = np.abs(a - b).astype(float)
@@ -108,7 +113,44 @@ def compare(parent: dict, change: dict) -> bool:
         print(f"{name:<20} {f'{equal}/{len(keys)}':>12} {worst:>12.3g}")
     for cell, name, delta in differing:
         print(f"differs: {cell}: {name} (max |diff| {delta:.3g})")
+    print_results(parent, change, {cell for cell, _, _ in differing})
     return ok
+
+
+def summarize(arrays: dict, cell: str) -> tuple[float, int, float]:
+    """Best min-SINR, its step, and the mean feasible (non-NaN) min-SINR
+    over the last fifth of the steps (NaN if none of them is feasible)."""
+    min_sinr = arrays[f"{cell}|min_sinr_db"]
+    tail = min_sinr[-max(1, min_sinr.size // 5):]
+    feasible = tail[~np.isnan(tail)]
+    tail_mean = float(feasible.mean()) if feasible.size else np.nan
+    best = float(arrays[f"{cell}|best_min_sinr_db"][-1])
+    return best, int(arrays[f"{cell}|best_step"]), tail_mean
+
+
+def print_results(parent: dict, change: dict, differing: set[str]) -> None:
+    """Both sides' results for each differing cell, then their seed means
+    per algorithm, phase mode and power."""
+    cells = [cell for cell in dict.fromkeys(key.split("|")[0] for key in parent)
+             if f"{cell}|min_sinr_db" in change]
+    results = {side: {cell: summarize(arrays, cell) for cell in cells}
+               for side, arrays in (("parent", parent), ("change", change))}
+    changed = [cell for cell in cells if cell in differing]
+    if changed:
+        print(f"\n{'differing cell':<36} {'best dB (step), parent -> change':>37} "
+              f"{'tail-fifth mean dB':>22}")
+    for cell in changed:
+        (pb, ps, pt), (cb, cs, ct) = results["parent"][cell], results["change"][cell]
+        print(f"{cell:<36} {f'{pb:.2f} ({ps})':>17} -> {f'{cb:.2f} ({cs})':<16} "
+              f"{pt:>10.2f} -> {ct:<8.2f}")
+    print(f"\n{'seed means':<36} {'best dB, parent -> change':>37} {'tail-fifth mean dB':>22}")
+    for group in dict.fromkeys(cell.rsplit(" seed ", 1)[0] for cell in cells):
+        members = [cell for cell in cells if cell.rsplit(" seed ", 1)[0] == group]
+        (pb, _, pt), (cb, _, ct) = (
+            np.mean([results[side][cell] for cell in members], axis=0)
+            for side in ("parent", "change")
+        )
+        print(f"{group:<36} {pb:>17.2f} -> {cb:<16.2f} {pt:>10.2f} -> {ct:<8.2f}")
 
 
 def main(argv=None) -> int:

@@ -34,18 +34,23 @@ NET_DTYPE = np.float32
 
 @dataclass(frozen=True)
 class DdpgHyperparams:
-    """Training hyperparameters; textbook DDPG values.  Per-variant
-    tuned settings live in ``training.default_hyperparams``."""
+    """Training hyperparameters, one set for every variant.
+
+    An action does not alter the next channel, which is redrawn each
+    episode regardless, so the return is single-step (discount 0), and a
+    small replay buffer keeps the critic tracking the current channel
+    realization instead of an average over stale ones.  A discount above
+    0 trains through the target networks, as textbook DDPG does."""
 
     hidden_dims: tuple[int, ...] = (128, 128)
-    actor_lr: float = 1e-4
+    actor_lr: float = 3e-4
     critic_lr: float = 1e-3
-    discount: float = 0.99
+    discount: float = 0.0
     soft_update_tau: float = 0.005
     batch_size: int = 64
-    buffer_capacity: int = 100_000
+    buffer_capacity: int = 2000
     noise_std: float = 0.2
-    noise_decay: float = 0.9995
+    noise_decay: float = 0.9999
     warmup_steps: int = 1000
 
     def __post_init__(self):

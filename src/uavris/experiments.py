@@ -60,7 +60,7 @@ class ExperimentSpec:
     rolling_window: int = 300
     one_bit: bool = False
     output_dir: str = "results"
-    ddpg: DdpgHyperparams | None = None  # None -> per-variant defaults
+    ddpg: DdpgHyperparams = DdpgHyperparams()
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -88,7 +88,6 @@ class ExperimentSpec:
 # scenario keys that arrive in dB/dBm and their watt/linear target fields
 _DB_ALIASES = {
     "noise_power_dbm": ("noise_power", dbm_to_watts),
-    "p_max_dbm": ("p_max", dbm_to_watts),
     "rician_bs_ris_db": ("rician_bs_ris", db_to_linear),
     "rician_ris_uav_db": ("rician_ris_uav", db_to_linear),
 }
@@ -100,10 +99,24 @@ def _tuplify(x):
     return x
 
 
+def _section(key: str, value) -> dict:
+    """A spec section's fields; an empty or null section means defaults."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SpecError(f"{key}: expected a mapping, got {value!r}")
+    return value
+
+
 def _build_scenario(raw: dict) -> SystemConfig:
     known = {f.name for f in dataclasses.fields(SystemConfig)}
     kwargs = {}
     for key, value in raw.items():
+        if key in ("p_max", "p_max_dbm"):
+            raise SpecError(
+                f"scenario.{key}: each cell sets the transmit power, from "
+                "p_max_grid_dbm (pmax_sweep) or --p-max-dbm (fairness, onebit_table)"
+            )
         if key in _DB_ALIASES:
             target, conv = _DB_ALIASES[key]
             kwargs[target] = conv(value)
@@ -138,13 +151,12 @@ def load_spec(path) -> ExperimentSpec:
     known = {f.name for f in dataclasses.fields(ExperimentSpec)}
     for key, value in raw.items():
         if key == "scenario":
-            kwargs["scenario"] = _build_scenario(value or {})
-        elif key == "ddpg" and value is not None:
+            kwargs["scenario"] = _build_scenario(_section(key, value))
+        elif key == "ddpg":
+            fields = {k: _tuplify(v) for k, v in _section(key, value).items()}
             try:
-                kwargs["ddpg"] = DdpgHyperparams(**{
-                    k: _tuplify(v) for k, v in value.items()
-                })
-            except (AttributeError, TypeError, ValueError) as exc:
+                kwargs["ddpg"] = DdpgHyperparams(**fields)
+            except (TypeError, ValueError) as exc:
                 raise SpecError(f"ddpg: {exc}") from exc
         elif key in known:
             kwargs[key] = _tuplify(value)
@@ -154,7 +166,8 @@ def load_spec(path) -> ExperimentSpec:
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:
-    """Serialize a spec to YAML such that load_spec returns it unchanged."""
+    """Serialize a spec to YAML such that load_spec returns it unchanged,
+    save for ``scenario.p_max``, which each cell sets and which is omitted."""
 
     def plain(obj):
         if dataclasses.is_dataclass(obj):
@@ -164,6 +177,7 @@ def save_spec(spec: ExperimentSpec, path) -> None:
         return obj
 
     doc = plain(spec)
+    del doc["scenario"]["p_max"]
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
 
 
@@ -174,7 +188,7 @@ def run_algorithm(
     seed: int,
     objective: str = Objective.MAX_MIN_SINR.value,
     one_bit: bool = False,
-    hyper: DdpgHyperparams | None = None,
+    hyper: DdpgHyperparams = DdpgHyperparams(),
 ) -> TrainingTrace:
     """Run one (algorithm, config, seed) cell and return its trace."""
     return run_training(config, algorithm, iterations, seed, objective, one_bit, hyper)

@@ -61,14 +61,8 @@ class SystemConfig:
     # large-scale budget (power dB, split evenly over the two hops);
     # calibrated so the 45 dBm best min-SINR sits in the 10-16 dB range
     antenna_gain_db: float = 38.0
-    allow_rectangular_ris: bool = False
 
     def __post_init__(self):
-        if self.ris_elements_x != self.ris_elements_y and not self.allow_rectangular_ris:
-            raise ValueError(
-                "RIS must be square (ris_elements_x == ris_elements_y); "
-                "set allow_rectangular_ris=True to override"
-            )
         for name in ("n_bs_antennas", "ris_elements_x", "ris_elements_y"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

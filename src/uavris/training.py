@@ -18,7 +18,6 @@ from .solvers import BeamformingMatrix
 
 __all__ = [
     "TrainingTrace",
-    "default_hyperparams",
     "run_training",
     "run_random_search",
     "RANDOM_SEARCH",
@@ -28,23 +27,6 @@ __all__ = [
 RANDOM_SEARCH = "RANDOM"
 # steps between channel redraws
 STEPS_PER_EPISODE = 200
-
-
-def default_hyperparams(variant: Variant | str) -> DdpgHyperparams:
-    """Per-variant tuned hyperparameters.
-
-    IC and ORESOU work well with the textbook settings.  The joint
-    variant needs the bandit-style ones: channels are redrawn each
-    episode and an action does not alter the future channel state, so
-    the return is effectively single-step (discount 0), and a small
-    recency-biased replay buffer keeps the critic adapted to the
-    current channel realization instead of an average over stale ones.
-    """
-    if Variant(variant) is Variant.JOINT:
-        return DdpgHyperparams(
-            actor_lr=3e-4, discount=0.0, buffer_capacity=2000, noise_decay=0.9999
-        )
-    return DdpgHyperparams()
 
 
 @dataclass
@@ -101,7 +83,7 @@ def run_training(
     seed: int = 0,
     objective: Objective | str = Objective.MAX_MIN_SINR,
     one_bit: bool = False,
-    hyper: DdpgHyperparams | None = None,
+    hyper: DdpgHyperparams = DdpgHyperparams(),
 ) -> TrainingTrace:
     """Run ``total_steps`` steps of a ``Variant`` or ``RANDOM_SEARCH`` and
     return its trace.
@@ -110,11 +92,10 @@ def run_training(
     selects an action, decodes and evaluates it and records the outcome.
     A DDPG variant acts at random during the warmup and by its noisy
     policy afterwards, stores each transition and performs one critic +
-    actor update once the warmup is over.  ``hyper=None`` selects the
-    per-variant defaults from ``default_hyperparams``.  The random search
-    draws uniform phases and a Gaussian precoder for the JOINT_DRL
-    decoder, and ignores ``objective`` and ``hyper``: it has no learner
-    and keeps the best min-SINR draw.
+    actor update once the warmup is over.  The random search draws
+    uniform phases and a Gaussian precoder for the JOINT_DRL decoder,
+    and ignores ``objective`` and ``hyper``: it has no learner and keeps
+    the best min-SINR draw.
 
     Raises ``FloatingPointError``, naming the variant, seed and step, as
     soon as an update returns a non-finite critic loss or mean Q.
@@ -125,8 +106,6 @@ def run_training(
     env = DownlinkEnv(config, variant, objective=objective, one_bit=one_bit)
     rng = np.random.default_rng(seed)
     if learner:
-        if hyper is None:
-            hyper = default_hyperparams(variant)
         # a run never holds more transitions than it takes steps, so a larger
         # ring would never wrap either: the run is the same, in less memory
         capacity = max(1, min(hyper.buffer_capacity, total_steps))

@@ -287,7 +287,10 @@ class TestUpdateMatchesReference:
         # parameters per net).  With parameter-sized temporaries this update
         # peaked at 3.7 MiB; with the agent's shared buffers, at 1.5 MiB in
         # float64 and 0.7 MiB in float32, so a float64 leak fails the bound.
-        hyper = DdpgHyperparams(hidden_dims=(128, 128), batch_size=64, buffer_capacity=256)
+        # Discount 0.99 runs the target forwards and the soft update too.
+        hyper = DdpgHyperparams(
+            hidden_dims=(128, 128), batch_size=64, buffer_capacity=256, discount=0.99
+        )
         agent = _filled_agent(385, 32, hyper)
         rng = np.random.default_rng(0)
         agent.train_step(rng)

@@ -95,6 +95,14 @@ class TestValidateConfig:
         assert result.exit_code != 0
         assert "bogus_field" in result.output
 
+    @pytest.mark.parametrize("value", ["5", "[]", '"x"'])
+    def test_scenario_not_a_mapping(self, runner, tmp_path, value):
+        cfg = write_spec(tmp_path, f"scenario: {value}\n")
+        result = runner.invoke(main, ["validate-config", "--config", cfg])
+        assert result.exit_code == 1
+        assert "spec error: scenario: " in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_parse_error_nonzero_exit(self, runner, tmp_path):
         cfg = write_spec(tmp_path, "seeds: [1, 2\n")
         result = runner.invoke(main, ["validate-config", "--config", cfg])

@@ -454,6 +454,17 @@ class TestRunTraining:
         assert agents[0].buffer.capacity == expected
 
 
+class TestDefaultHyperparams:
+    @pytest.mark.parametrize("variant", [Variant.IC, Variant.ORESOU, Variant.JOINT])
+    def test_no_hyper_is_the_default_object(self, config, variant):
+        # 1,100 steps after a 1,000-step warmup: 100 updates
+        a = run_training(config, variant, total_steps=1100, seed=1)
+        b = run_training(config, variant, total_steps=1100, seed=1, hyper=DdpgHyperparams())
+        for name in ("min_sinr_db", "per_uav_sinr_db", "sum_rate", "feasible"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        assert a.best_step == b.best_step
+
+
 class TestRunRandomSearch:
     def test_trace_fields(self, config):
         trace = run_random_search(config, iterations=50, seed=1)

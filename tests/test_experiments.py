@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from uavris import experiments
 from uavris.agent import DdpgHyperparams
@@ -75,12 +76,33 @@ class TestLoadSaveSpec:
     def test_scenario_db_aliases(self, tmp_path):
         p = tmp_path / "spec.yaml"
         p.write_text(
-            "scenario:\n  p_max_dbm: 40\n  noise_power_dbm: -90\n  rician_bs_ris_db: 20\n"
+            "scenario:\n  noise_power_dbm: -90\n  rician_bs_ris_db: 20\n"
         )
         spec = load_spec(p)
-        assert spec.scenario.p_max == pytest.approx(dbm_to_watts(40.0))
         assert spec.scenario.noise_power == pytest.approx(1e-12)
         assert spec.scenario.rician_bs_ris == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("line", ["p_max: 10.0", "p_max_dbm: 40"])
+    def test_scenario_p_max_rejected(self, tmp_path, line):
+        # every cell sets the power from the grid or the command line
+        p = tmp_path / "spec.yaml"
+        p.write_text(f"scenario:\n  {line}\n")
+        with pytest.raises(SpecError, match=f"^scenario.{line.split(':')[0]}: ") as exc:
+            load_spec(p)
+        assert "p_max_grid_dbm" in str(exc.value)
+        assert "--p-max-dbm" in str(exc.value)
+
+    @pytest.mark.parametrize("value", ["5", "[]", '"x"'])
+    def test_scenario_not_a_mapping_is_spec_error(self, tmp_path, value):
+        p = tmp_path / "spec.yaml"
+        p.write_text(f"scenario: {value}\n")
+        with pytest.raises(SpecError, match="^scenario: "):
+            load_spec(p)
+
+    def test_null_sections_mean_defaults(self, tmp_path):
+        p = tmp_path / "spec.yaml"
+        p.write_text("scenario:\nddpg: null\n")
+        assert load_spec(p) == ExperimentSpec()
 
     def test_ddpg_overrides(self, tmp_path):
         p = tmp_path / "spec.yaml"
@@ -140,6 +162,7 @@ class TestLoadSaveSpec:
         out = tmp_path / "round.yaml"
         save_spec(spec, out)
         assert load_spec(out) == spec
+        assert "p_max" not in yaml.safe_load(out.read_text())["scenario"]
 
 
 class TestRunAlgorithm:

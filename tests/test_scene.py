@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from uavris.agent import DdpgHyperparams
+from uavris.channel import steering_ris
+from uavris.env import Variant
+from uavris.metrics import dbm_to_watts
 from uavris.scene import (
     SPEED_OF_LIGHT,
     SystemConfig,
@@ -8,6 +12,7 @@ from uavris.scene import (
     link_geometry,
     default_config,
 )
+from uavris.training import run_training
 
 
 class TestLinkGeometry:
@@ -69,13 +74,21 @@ class TestBuildGeometry:
 
 
 class TestSystemConfig:
-    def test_square_ris_enforced(self):
-        with pytest.raises(ValueError):
-            SystemConfig(ris_elements_x=4, ris_elements_y=2)
-
-    def test_rectangular_override(self):
-        cfg = SystemConfig(ris_elements_x=4, ris_elements_y=2, allow_rectangular_ris=True)
+    def test_rectangular_ris_runs(self):
+        cfg = default_config(ris_elements_x=4, ris_elements_y=2, p_max=dbm_to_watts(45.0))
         assert cfg.elements_per_ris == 8
+        geo = build_geometry(cfg)
+        for link in (*geo.bs_ris, *geo.ris_uav[0], *geo.ris_uav[1]):
+            a = steering_ris(
+                link.azimuth, link.elevation, cfg.ris_elements_x, cfg.ris_elements_y,
+                cfg.d_x, cfg.d_y, cfg.wavelength,
+            )
+            assert a.shape == (8,)
+            assert np.linalg.norm(a) == pytest.approx(1.0, rel=1e-12)
+        hyper = DdpgHyperparams(hidden_dims=(16, 16), batch_size=4, warmup_steps=4)
+        trace = run_training(cfg, Variant.IC, total_steps=12, hyper=hyper)
+        assert trace.feasible.all()
+        assert np.isfinite(trace.min_sinr_db).all()
 
     def test_default_scene_is_table_sizes(self):
         cfg = default_config()
