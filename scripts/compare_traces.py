@@ -9,7 +9,9 @@ own ``src/`` with one BLAS thread.  Each runs every algorithm in both
 phase modes, for each seed and transmit power (defaults: 1,300 steps,
 seeds 0-2, 20 and 45 dBm), with the default hyperparameters.  Per trace
 field, the script prints how many cells are equal (NaN equal to NaN) and
-the largest |difference| over all cells, then the cells that differ.  A
+the largest |difference| over all cells, then the cells that differ.
+Besides the trace, each DDPG cell's final networks (actor, critic and
+their targets) and both optimizers' Adam moments are fields too.  A
 field only one side has is listed as such.  For each cell that differs
 in any field, it then prints both sides' best min-SINR, the step of that
 best, and the mean feasible min-SINR over the last fifth of the steps;
@@ -34,20 +36,31 @@ ALGORITHMS = ("IC", "ORESOU", "JOINT_DRL", "RANDOM")
 
 
 def dump(out: str, steps: int, seeds: list[int], powers: list[float]) -> None:
-    """Run every cell in this process and save each trace's arrays."""
+    """Run every cell in this process and save each trace's arrays and
+    each DDPG cell's final networks and Adam moments."""
     import uavris
+    from uavris.agent import DdpgAgent
     from uavris.experiments import run_algorithm
     from uavris.metrics import dbm_to_watts
     from uavris.scene import default_config
 
     if not Path(uavris.__file__).resolve().is_relative_to(Path.cwd().resolve()):
         raise SystemExit(f"uavris imported from {uavris.__file__}, not from {Path.cwd()}")
+    agents = []
+    create = DdpgAgent.create.__func__
+
+    def keep_agent(cls, *args, **kwargs):
+        agents.append(create(cls, *args, **kwargs))
+        return agents[-1]
+
+    DdpgAgent.create = classmethod(keep_agent)
     arrays = {}
     for algorithm in ALGORITHMS:
         for one_bit in (False, True):
             for p_dbm in powers:
                 config = default_config(p_max=dbm_to_watts(p_dbm))
                 for seed in seeds:
+                    agents.clear()
                     trace = run_algorithm(algorithm, config, steps, seed, one_bit=one_bit)
                     cell = f"{algorithm} {'one_bit' if one_bit else 'continuous'} {p_dbm:g} dBm seed {seed}"
                     fields = {
@@ -62,9 +75,23 @@ def dump(out: str, steps: int, seeds: list[int], powers: list[float]) -> None:
                     fields["best_f_hat.f_hat"] = (
                         trace.best_f_hat.f_hat if trace.best_f_hat is not None else np.empty(0)
                     )
+                    for agent in agents:
+                        fields |= agent_arrays(agent)
                     for name, value in fields.items():
                         arrays[f"{cell}|{name}"] = value
     np.savez(out, **arrays)
+
+
+def agent_arrays(agent) -> dict[str, np.ndarray]:
+    """The parameters of an agent's four networks and its optimizers'
+    Adam moments (empty before the first update)."""
+    arrays = {f"{net}.flat": getattr(agent, net).flat
+              for net in ("actor", "critic", "target_actor", "target_critic")}
+    for opt in ("actor_opt", "critic_opt"):
+        for moment in ("m", "v"):
+            value = getattr(getattr(agent, opt), moment)
+            arrays[f"{opt}.{moment}"] = np.empty(0) if value is None else value
+    return arrays
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:

@@ -7,6 +7,10 @@ float32 (``NET_DTYPE``); weights are drawn in float64 and rounded, so the
 random stream is the one a float64 agent would draw.  The environment
 side stays float64: ``policy`` and ``select_action`` return float64
 actions, and stored transitions are rounded on ``push``.
+
+The replay buffer stores the entries of a state but the last once for
+all the consecutive transitions that repeat them: the environment's
+channel features once per episode (``ReplayBuffer``).
 """
 
 from __future__ import annotations
@@ -75,38 +79,117 @@ class DdpgHyperparams:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer of (state, action, reward, next_state)."""
+    """Fixed-capacity ring buffer of (state, action, reward, next_state).
+
+    Each state is stored in two parts: its context, every entry but the
+    last, and its last entry.  Contexts live in a ring table of rows, and
+    a state whose context is bit-equal to the latest stored one (compared
+    by bytes, so -0.0 and NaN payloads round-trip) reuses that row.  Per
+    transition the buffer keeps the row and last entry of its state and
+    of its next state, the action and the reward.  Rebuilt states equal
+    the float32 rows a dense buffer would hold, bit for bit.
+
+    The environment's state is the channel features of the current
+    realization plus the previous min-SINR, so a 200-step episode takes
+    one row: 2,000 transitions of the default scene (state 385, action 80)
+    hold about 0.7 MB instead of 6.8 MB.  When every state is distinct the
+    table holds two rows more than dense state arrays would, beside the
+    per-transition rows and last entries.  ``states`` and ``next_states``
+    rebuild the dense arrays, zeros past ``size``.
+    """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if state_dim < 1:
+            raise ValueError("state_dim must be >= 1")
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim), dtype=NET_DTYPE)
         self.actions = np.zeros((capacity, action_dim), dtype=NET_DTYPE)
         self.rewards = np.zeros(capacity, dtype=NET_DTYPE)
-        self.next_states = np.zeros((capacity, state_dim), dtype=NET_DTYPE)
+        self._state_rows = np.zeros(capacity, dtype=np.intp)
+        self._state_lasts = np.zeros(capacity, dtype=NET_DTYPE)
+        self._next_rows = np.zeros(capacity, dtype=np.intp)
+        self._next_lasts = np.zeros(capacity, dtype=NET_DTYPE)
+        # No row is overwritten while a transition in the ring refers to
+        # it.  Rows are allocated in turn, allocation k taking row k mod
+        # _max_rows, and only the latest allocation is ever reused.  So a
+        # transition referring to allocation k was pushed at a push p that
+        # made at most one allocation after k (its next state's).
+        # Allocations k + 2 .. k + _max_rows, the last of which overwrites
+        # k's row, are 2 * capacity + 1 allocations in later pushes, at most
+        # two per push: the last comes at least capacity + 1 pushes after
+        # p, and the ring dropped transition p at push p + capacity.
+        self._max_rows = 2 * capacity + 2
+        # each row is a state with its last entry left at 0, so one gather
+        # and one column write rebuild a batch
+        self._contexts = np.zeros((min(4, self._max_rows), state_dim), dtype=NET_DTYPE)
+        self._row = -1  # the latest allocated row
+        self._key = self._dtype = None  # bytes and dtype of its context as pushed
         self.size = 0
         self._head = 0
 
     def push(self, state, action, reward, next_state) -> None:
         i = self._head
-        self.states[i] = state
+        state, next_state = np.asarray(state), np.asarray(next_state)
+        key = state[:-1].tobytes()
+        if key != self._key or state.dtype is not self._dtype:
+            self._allocate(state, key)
+        self._state_rows[i] = self._row
+        key = next_state[:-1].tobytes()
+        if key != self._key or next_state.dtype is not self._dtype:
+            self._allocate(next_state, key)
+        self._next_rows[i] = self._row
+        self._state_lasts[i] = state[-1]
+        self._next_lasts[i] = next_state[-1]
         self.actions[i] = action
         self.rewards[i] = reward
-        self.next_states[i] = next_state
         self._head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, rng: np.random.Generator, batch_size: int):
-        """Uniform sample with replacement; errors on an underfilled buffer."""
+    def _allocate(self, state: np.ndarray, key: bytes) -> None:
+        """Store the context of ``state`` in the next row of the ring,
+        growing the table by doubling up to ``_max_rows`` rows."""
+        row = (self._row + 1) % self._max_rows
+        if row == len(self._contexts):
+            grown = np.zeros((min(2 * row, self._max_rows), state.size), dtype=NET_DTYPE)
+            grown[:row] = self._contexts
+            self._contexts = grown
+        self._contexts[row, :-1] = state[:-1]
+        self._row, self._key, self._dtype = row, key, state.dtype
+
+    def _rebuild(self, rows: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+        out = self._contexts[rows]
+        out[:, -1] = lasts
+        return out
+
+    def _dense(self, rows: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.capacity, self._contexts.shape[1]), dtype=NET_DTYPE)
+        out[: self.size] = self._rebuild(rows[: self.size], lasts[: self.size])
+        return out
+
+    @property
+    def states(self) -> np.ndarray:
+        """The stored states as a dense (capacity, state_dim) copy."""
+        return self._dense(self._state_rows, self._state_lasts)
+
+    @property
+    def next_states(self) -> np.ndarray:
+        """The stored next states as a dense (capacity, state_dim) copy."""
+        return self._dense(self._next_rows, self._next_lasts)
+
+    def sample(self, rng: np.random.Generator, batch_size: int, next_states: bool = True):
+        """Uniform sample with replacement of (states, actions, rewards,
+        next_states); errors on an underfilled buffer.  With
+        ``next_states=False`` the last item is None and no next state is
+        rebuilt; the random draw is the same."""
         if self.size < batch_size:
             raise ValueError(f"buffer holds {self.size} < batch_size {batch_size}")
         idx = rng.integers(0, self.size, size=batch_size)
         return (
-            self.states[idx],
+            self._rebuild(self._state_rows[idx], self._state_lasts[idx]),
             self.actions[idx],
             self.rewards[idx],
-            self.next_states[idx],
+            self._rebuild(self._next_rows[idx], self._next_lasts[idx]) if next_states else None,
         )
 
 
@@ -220,7 +303,9 @@ class DdpgAgent:
         """Sample a batch, update critic then actor, soft-update targets.
         At discount 0 nothing reads the targets, so they keep their
         initial copies."""
-        batch = self.buffer.sample(rng, self.hyper.batch_size)
+        batch = self.buffer.sample(
+            rng, self.hyper.batch_size, next_states=self.hyper.discount != 0.0
+        )
         loss = self.critic_train_step(batch)
         objective = self.actor_train_step(batch)
         if self.hyper.discount != 0.0:

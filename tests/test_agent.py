@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uavris.agent import DdpgAgent, DdpgHyperparams, ReplayBuffer
+from uavris.agent import NET_DTYPE, DdpgAgent, DdpgHyperparams, ReplayBuffer
+from uavris.env import Variant
 from uavris.nets import mlp_forward, mlp_forward_cached
+from uavris.training import STEPS_PER_EPISODE, run_training
 
 
 def small_hyper(**overrides):
@@ -50,6 +52,161 @@ class TestReplayBuffer:
         np.testing.assert_array_equal(buf.actions[0], [0.5])
         assert buf.rewards[0] == -3.0
         np.testing.assert_array_equal(buf.next_states[0], [4.0, 5.0])
+
+
+class _DenseReplayBuffer:
+    """The replay buffer with dense float32 state and next-state arrays,
+    the reference the context-sharing buffer must match bit for bit.
+    ``next_states=False`` puts None in place of the next states."""
+
+    def __init__(self, capacity: int, state_dim: int, action_dim: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.states = np.zeros((capacity, state_dim), dtype=NET_DTYPE)
+        self.actions = np.zeros((capacity, action_dim), dtype=NET_DTYPE)
+        self.rewards = np.zeros(capacity, dtype=NET_DTYPE)
+        self.next_states = np.zeros((capacity, state_dim), dtype=NET_DTYPE)
+        self.size = 0
+        self._head = 0
+
+    def push(self, state, action, reward, next_state) -> None:
+        i = self._head
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self._head = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, rng, batch_size, next_states=True):
+        if self.size < batch_size:
+            raise ValueError(f"buffer holds {self.size} < batch_size {batch_size}")
+        idx = rng.integers(0, self.size, size=batch_size)
+        return (
+            self.states[idx],
+            self.actions[idx],
+            self.rewards[idx],
+            self.next_states[idx] if next_states else None,
+        )
+
+
+def _nan(payload: int, sign: int = 0) -> float:
+    """A float64 quiet NaN whose payload survives rounding to float32."""
+    bits = (sign << 63) | 0x7FF8_0000_0000_0000 | (payload << 29)
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype == NET_DTYPE and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def _transitions(seed, state_dim, action_dim, count):
+    """Random transitions whose contexts are new or recur, consecutively
+    and not, with next-state contexts that differ from the state's, and
+    contexts that are equal as values but not as bits (0.0 and -0.0, NaNs
+    with other payloads)."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(state_dim - 1)
+    pool = [base]
+    for value in (0.0, -0.0, _nan(1), _nan(2), _nan(1, sign=1)):
+        context = base.copy()
+        context[:1] = value
+        pool.append(context)
+    pool += [rng.standard_normal(state_dim - 1) for _ in range(3)]
+    lasts = [-0.0, 0.0, _nan(3), np.inf]
+    context = pool[0]
+    for _ in range(count):
+        draw = rng.random()
+        if draw < 0.25:
+            context = rng.standard_normal(state_dim - 1)
+            pool.append(context)
+        elif draw < 0.5:
+            context = pool[rng.integers(len(pool))]
+        next_context = context if rng.random() < 0.6 else pool[rng.integers(len(pool))]
+        last, next_last = (
+            lasts[rng.integers(len(lasts))] if rng.random() < 0.3 else rng.standard_normal()
+            for _ in range(2)
+        )
+        yield (
+            np.append(context, last),
+            rng.uniform(-1.0, 1.0, action_dim),
+            rng.standard_normal(),
+            np.append(next_context, next_last),
+        )
+        context = next_context
+
+
+class TestReplayBufferMatchesDense:
+    @pytest.mark.parametrize(
+        "capacity,state_dim,action_dim",
+        [(1, 1, 1), (1, 6, 2), (2, 1, 3), (5, 7, 2), (13, 9, 3)],
+    )
+    def test_every_push_matches_bitwise(self, capacity, state_dim, action_dim):
+        buf = ReplayBuffer(capacity, state_dim, action_dim)
+        ref = _DenseReplayBuffer(capacity, state_dim, action_dim)
+        pushes = 10 * capacity + 40
+        for t, transition in enumerate(_transitions(capacity, state_dim, action_dim, pushes)):
+            buf.push(*transition)
+            ref.push(*transition)
+            assert buf.size == ref.size
+            for name in ("states", "actions", "rewards", "next_states"):
+                _assert_same_bits(getattr(buf, name), getattr(ref, name))
+            batch_size = min(buf.size, 4)
+            for got, want in zip(
+                buf.sample(np.random.default_rng(t), batch_size),
+                ref.sample(np.random.default_rng(t), batch_size),
+            ):
+                _assert_same_bits(got, want)
+            *got, none = buf.sample(np.random.default_rng(t), batch_size, next_states=False)
+            assert none is None
+            for got, want in zip(got, ref.sample(np.random.default_rng(t), batch_size)):
+                _assert_same_bits(got, want)
+
+    def test_env_like_episodes_hold_under_a_megabyte(self):
+        # 10 episodes of the default scene's 385-entry state (384 channel
+        # features fixed per episode, then the previous min-SINR) with an
+        # 80-entry action: dense state arrays alone held 6.2 MB
+        buf = ReplayBuffer(2000, 385, 80)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            state = np.append(rng.standard_normal(384), 0.0)
+            for _ in range(STEPS_PER_EPISODE):
+                next_state = state.copy()
+                next_state[-1] = rng.standard_normal()
+                buf.push(state, rng.uniform(-1.0, 1.0, 80), rng.standard_normal(), next_state)
+                state = next_state
+        assert buf.size == 2000
+        held = sum(a.nbytes for a in vars(buf).values() if isinstance(a, np.ndarray))
+        assert held < 1.0e6
+
+    def test_state_dim_must_be_positive(self):
+        with pytest.raises(ValueError, match="state_dim"):
+            ReplayBuffer(4, 0, 1)
+
+
+class TestRunMatchesDenseBuffer:
+    @pytest.mark.parametrize("discount", [0.0, 0.9])
+    @pytest.mark.parametrize("one_bit", [False, True])
+    @pytest.mark.parametrize("variant", [Variant.IC, Variant.ORESOU, Variant.JOINT])
+    def test_trace_bitwise_equal(self, config, monkeypatch, variant, one_bit, discount):
+        # three episodes through a 150-row ring, which wraps twice
+        hyper = DdpgHyperparams(
+            hidden_dims=(16, 16), batch_size=16, buffer_capacity=150, warmup_steps=32,
+            discount=discount,
+        )
+        steps = 2 * STEPS_PER_EPISODE + 50
+        runs = [run_training(config, variant, steps, seed=3, one_bit=one_bit, hyper=hyper)]
+        monkeypatch.setattr("uavris.agent.ReplayBuffer", _DenseReplayBuffer)
+        runs.append(run_training(config, variant, steps, seed=3, one_bit=one_bit, hyper=hyper))
+        got, want = runs
+        for name in ("min_sinr_db", "per_uav_sinr_db", "sum_rate", "feasible", "best_min_sinr_db"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+        assert got.best_step == want.best_step
+        assert np.array_equal(got.best_phases.theta, want.best_phases.theta)
+        assert np.array_equal(got.best_f_hat.f_hat, want.best_f_hat.f_hat)
 
 
 class TestDdpgAgent:
