@@ -45,8 +45,11 @@ def _common_options(fn):
                       help="output directory for CSVs and plot scripts")(fn)
     fn = click.option("--iterations", type=int, default=None,
                       help="iterations per run; overrides the spec")(fn)
-    fn = click.option("--one-bit", is_flag=True, help="restrict RIS phases to {0, pi}")(fn)
     return fn
+
+
+# onebit-table runs both phase modes, so only the other studies take this
+_one_bit_option = click.option("--one-bit", is_flag=True, help="restrict RIS phases to {0, pi}")
 
 
 @click.group()
@@ -54,7 +57,7 @@ def main():
     """Multi-RIS massive-MIMO downlink optimization experiments."""
 
 
-def _run(runner, experiment, config, seeds, out, iterations, one_bit, **kwargs):
+def _run(runner, experiment, config, seeds, out, iterations, one_bit=False, **kwargs):
     try:
         spec = _spec_from_options(config, experiment, seeds, out, iterations, one_bit)
         csv_path = runner(spec, **kwargs)
@@ -69,6 +72,7 @@ def _run(runner, experiment, config, seeds, out, iterations, one_bit, **kwargs):
 
 @main.command()
 @_common_options
+@_one_bit_option
 @click.option("--p-max-dbm", type=float, default=35.0, show_default=True)
 def fairness(config, seeds, out, iterations, one_bit, p_max_dbm):
     """Compare max-sum-rate and max-min-SINR objectives step by step."""
@@ -78,6 +82,7 @@ def fairness(config, seeds, out, iterations, one_bit, p_max_dbm):
 
 @main.command("pmax-sweep")
 @_common_options
+@_one_bit_option
 def pmax_sweep(config, seeds, out, iterations, one_bit):
     """Best min-SINR of every algorithm over a grid of power budgets."""
     _run(run_pmax_sweep, "pmax_sweep", config, seeds, out, iterations, one_bit)
@@ -86,9 +91,9 @@ def pmax_sweep(config, seeds, out, iterations, one_bit):
 @main.command("onebit-table")
 @_common_options
 @click.option("--p-max-dbm", type=float, default=45.0, show_default=True)
-def onebit_table(config, seeds, out, iterations, one_bit, p_max_dbm):
+def onebit_table(config, seeds, out, iterations, p_max_dbm):
     """Continuous vs one-bit RIS comparison table."""
-    _run(run_onebit_table, "onebit_table", config, seeds, out, iterations, one_bit,
+    _run(run_onebit_table, "onebit_table", config, seeds, out, iterations,
          p_max_dbm=p_max_dbm)
 
 

@@ -59,6 +59,12 @@ class StepOutcome:
     reward: float
 
 
+# frozen and the same for every infeasible step, so all of them share it
+_INFEASIBLE = StepOutcome(
+    phases=None, f_hat=None, report=None, feasible=False, reward=PENALTY_DB / REWARD_SCALE
+)
+
+
 class DownlinkEnv:
     """One (config, variant, objective) environment instance.
 
@@ -130,28 +136,13 @@ class DownlinkEnv:
         self._prev_min_sinr_feature = 0.0
         return self._state()
 
-    def _checked_action(self, action: np.ndarray) -> np.ndarray:
-        action = np.asarray(action, dtype=float)
-        if action.shape != (self.action_dim,):
-            raise ValueError(f"action shape {action.shape} != ({self.action_dim},)")
-        if not all_finite(action):
-            raise ValueError("action contains non-finite entries")
-        return action
-
-    def decode(self, action: np.ndarray) -> tuple[PhaseConfig, BeamformingMatrix]:
-        """Map a raw action in [-1, 1]^k onto the feasible set.
-
-        Raises ValueError for an action of the wrong shape or with
-        non-finite entries.  Raises RankDeficientError (IC) or
-        ZeroBeamformerError (a raw precoder column of zeros) when the
-        action has no feasible decoding.
-        """
-        phases, f_hat, _ = self._decode(self._checked_action(action))
-        return phases, f_hat
-
     def _decode(self, action: np.ndarray) -> tuple[PhaseConfig, BeamformingMatrix, np.ndarray]:
-        """``decode`` of a checked action, plus the cascade H Phi G of the
-        decoded phases."""
+        """Map a raw action in [-1, 1]^k onto the feasible set: the phases,
+        the precoder and the cascade H Phi G of the phases.
+
+        Raises RankDeficientError (IC) or ZeroBeamformerError (a raw
+        precoder column of zeros) when the action has no feasible decoding.
+        """
         c = self.config
         ne = c.n_ris_elements
         if self.variant is Variant.ORESOU:
@@ -179,19 +170,16 @@ class DownlinkEnv:
         action of the wrong shape or with non-finite entries raises
         ValueError.
         """
-        action = self._checked_action(action)
+        action = np.asarray(action, dtype=float)
+        if action.shape != (self.action_dim,):
+            raise ValueError(f"action shape {action.shape} != ({self.action_dim},)")
+        if not all_finite(action):
+            raise ValueError("action contains non-finite entries")
         try:
             phases, f_hat, cascade = self._decode(action)
         except (RankDeficientError, ZeroBeamformerError):
-            self._prev_min_sinr_feature = PENALTY_DB / REWARD_SCALE
-            outcome = StepOutcome(
-                phases=None,
-                f_hat=None,
-                report=None,
-                feasible=False,
-                reward=PENALTY_DB / REWARD_SCALE,
-            )
-            return self._state(), outcome
+            self._prev_min_sinr_feature = _INFEASIBLE.reward
+            return self._state(), _INFEASIBLE
 
         report = sinr_report(cascade @ f_hat.f_hat, self.config.noise_power)
         low, high = MIN_SINR_CLIP_DB

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,73 +71,97 @@ class ExperimentSpec:
             raise SpecError(f"experiment: {self.experiment!r} not one of {EXPERIMENTS}")
         if self.objective not in (o.value for o in Objective):
             raise SpecError(f"objective: unknown value {self.objective!r}")
-        if not self.algorithms:
-            raise SpecError("algorithms: must be nonempty")
+        for name in ("algorithms", "seeds", "p_max_grid_dbm"):
+            if not getattr(self, name):
+                raise SpecError(f"{name}: must be nonempty")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise SpecError(f"algorithms: unknown algorithm {a!r}")
-        if not self.seeds:
-            raise SpecError("seeds: must be nonempty")
-        if not self.p_max_grid_dbm:
-            raise SpecError("p_max_grid_dbm: must be nonempty")
         for p in self.p_max_grid_dbm:
             if not 0.0 <= p <= 60.0:
                 raise SpecError(f"p_max_grid_dbm: {p} outside [0, 60] dBm")
-        if self.iterations < 1:
-            raise SpecError("iterations: must be >= 1")
-        if self.rolling_window < 1:
-            raise SpecError("rolling_window: must be >= 1")
+        for name in ("iterations", "rolling_window"):
+            if getattr(self, name) < 1:
+                raise SpecError(f"{name}: must be >= 1")
 
 
-# scenario keys that arrive in dB/dBm and their watt/linear target fields
+# spec keys of a section that are not fields of its dataclass: dB/dBm
+# aliases of linear fields, and fields a spec may not set, with the reason
 _DB_ALIASES = {
-    "noise_power_dbm": ("noise_power", dbm_to_watts),
-    "rician_bs_ris_db": ("rician_bs_ris", db_to_linear),
-    "rician_ris_uav_db": ("rician_ris_uav", db_to_linear),
+    SystemConfig: {
+        "noise_power_dbm": ("noise_power", dbm_to_watts),
+        "rician_bs_ris_db": ("rician_bs_ris", db_to_linear),
+        "rician_ris_uav_db": ("rician_ris_uav", db_to_linear),
+    },
+}
+_REJECTED = {
+    SystemConfig: dict.fromkeys(
+        ("p_max", "p_max_dbm"),
+        "each cell sets the transmit power, from "
+        "p_max_grid_dbm (pmax_sweep) or --p-max-dbm (fairness, onebit_table)",
+    ),
 }
 
-
-def _tuplify(x):
-    if isinstance(x, list):
-        return tuple(_tuplify(v) for v in x)
-    return x
+# the exact YAML scalar types each field type accepts (so a bool is no int)
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
-def _section(key: str, value) -> dict:
-    """A spec section's fields; an empty or null section means defaults."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise SpecError(f"{key}: expected a mapping, got {value!r}")
+def _typed(hint, value, where: str):
+    """``value`` checked against the field type ``hint``: a dataclass is a
+    section, a tuple is a list, ``X | None`` is null or an ``X``."""
+    if dataclasses.is_dataclass(hint):
+        return _parse_section(hint, value, where)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise SpecError(f"{where}: expected a list, got {value!r}")
+        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(hints):
+            raise SpecError(f"{where}: expected {len(hints)} entries, got {value!r}")
+        return tuple(_typed(h, v, where) for v, h in zip(value, hints))
+    if args:  # X | None
+        return None if value is None else _typed(args[0], value, where)
+    if type(value) not in _SCALARS[hint]:
+        raise SpecError(f"{where}: expected {hint.__name__}, got {value!r}")
     return value
 
 
-def _build_scenario(raw: dict) -> SystemConfig:
-    known = {f.name for f in dataclasses.fields(SystemConfig)}
+def _parse_section(cls, raw, name: str = ""):
+    """A ``cls`` built from the spec section ``name`` (empty for the top
+    level): a mapping of its fields, or null for the defaults."""
+    label = name or "top level"
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise SpecError(f"{label}: expected a mapping, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    aliases, rejected = _DB_ALIASES.get(cls, {}), _REJECTED.get(cls, {})
     kwargs = {}
-    for key, value in raw.items():
-        if key in ("p_max", "p_max_dbm"):
-            raise SpecError(
-                f"scenario.{key}: each cell sets the transmit power, from "
-                "p_max_grid_dbm (pmax_sweep) or --p-max-dbm (fairness, onebit_table)"
-            )
-        if key in _DB_ALIASES:
-            target, conv = _DB_ALIASES[key]
-            kwargs[target] = conv(value)
-        elif key in known:
-            kwargs[key] = _tuplify(value)
-        else:
-            raise SpecError(f"scenario.{key}: unknown field")
     try:
-        return SystemConfig(**kwargs)
+        for key, value in raw.items():
+            where = f"{name}.{key}" if name else f"{key}"
+            if key in rejected:
+                raise SpecError(f"{where}: {rejected[key]}")
+            if key in aliases:
+                target, convert = aliases[key]
+                kwargs[target] = convert(_typed(float, value, where))
+            elif key in hints:
+                kwargs[key] = _typed(hints[key], value, where)
+            else:
+                raise SpecError(f"{where}: unknown field")
+        return cls(**kwargs)
+    except SpecError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise SpecError(f"scenario: {exc}") from exc
+        raise SpecError(f"{label}: {exc}") from exc
 
 
 def load_spec(path) -> ExperimentSpec:
     """Load and validate an experiment spec from a YAML file.
 
-    Unspecified scenario fields default to the two-RIS / two-UAV scene.
+    Every section, the top level included, is parsed by the same rules:
+    unknown keys and values of the wrong type are errors, and unspecified
+    fields take their defaults (the two-RIS / two-UAV scene).
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -145,27 +170,7 @@ def load_spec(path) -> ExperimentSpec:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise SpecError(f"cannot parse {path}{where}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise SpecError(f"{path}: top level must be a mapping")
-
-    kwargs = {}
-    known = {f.name for f in dataclasses.fields(ExperimentSpec)}
-    for key, value in raw.items():
-        if key == "scenario":
-            kwargs["scenario"] = _build_scenario(_section(key, value))
-        elif key == "ddpg":
-            fields = {k: _tuplify(v) for k, v in _section(key, value).items()}
-            try:
-                kwargs["ddpg"] = DdpgHyperparams(**fields)
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"ddpg: {exc}") from exc
-        elif key in known:
-            kwargs[key] = _tuplify(value)
-        else:
-            raise SpecError(f"{key}: unknown field")
-    return ExperimentSpec(**kwargs)
+    return _parse_section(ExperimentSpec, raw)
 
 
 def save_spec(spec: ExperimentSpec, path) -> None:
@@ -393,21 +398,21 @@ plt.grid(True, axis="y", alpha=0.3)
 '''
 
 
+# the chart of each study, by the study's name, the stem of its CSV
+_CHARTS = {
+    "fairness": ("SINR-vs-step", _BODY_FAIRNESS),
+    "pmax_sweep": ("min-SINR-vs-power", _BODY_SWEEP),
+    "onebit_table": ("one-bit comparison", _BODY_ONEBIT),
+}
+
+
 def emit_plot_script(csv_path) -> Path:
-    """Write a standalone matplotlib script next to the CSV; the chart type
-    is inferred from the header columns."""
+    """Write a standalone matplotlib script next to a study's CSV; the chart
+    is the one of the study the file is named after."""
     csv_path = Path(csv_path)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
-    cols = set(header)
-    if {"step", "min_sinr_db", "objective"} <= cols:
-        kind, body = "SINR-vs-step", _BODY_FAIRNESS
-    elif {"mode", "min_sinr_db"} <= cols:
-        kind, body = "one-bit comparison", _BODY_ONEBIT
-    elif {"p_max_dbm", "best_min_sinr_db", "algorithm"} <= cols:
-        kind, body = "min-SINR-vs-power", _BODY_SWEEP
-    else:
-        raise ValueError(f"{csv_path}: columns {sorted(cols)} match no known chart")
+    if csv_path.stem not in _CHARTS:
+        raise ValueError(f"{csv_path}: not a study CSV, expected one of {EXPERIMENTS}")
+    kind, body = _CHARTS[csv_path.stem]
     out = csv_path.with_suffix(".plot.py")
     out.write_text(
         _PLOT_TEMPLATE.format(

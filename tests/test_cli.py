@@ -68,6 +68,13 @@ class TestOnebitTable:
         assert result.exit_code == 0, result.output
         assert (out / "onebit_table.csv").exists()
 
+    def test_one_bit_flag_is_usage_error(self, runner, tmp_path):
+        # the table runs both phase modes, so the flag would be ignored
+        cfg = write_spec(tmp_path)
+        result = runner.invoke(main, ["onebit-table", "--config", cfg, "--one-bit"] + SMALL_OPTS)
+        assert result.exit_code == 2
+        assert "--one-bit" in result.output
+
 
 class TestFairness:
     def test_runs(self, runner, tmp_path):

@@ -70,11 +70,13 @@ class TestEnvDimensions:
 
 
 class TestEnvDecode:
+    # a step's outcome carries the decoded phases and precoder
     def test_ic_round_trip(self, config):
         env = DownlinkEnv(config, Variant.IC)
         env.reset(np.random.default_rng(1))
         action = np.random.default_rng(2).uniform(-1, 1, 32)
-        phases, f_hat = env.decode(action)
+        _, outcome = env.step(action)
+        phases, f_hat = outcome.phases, outcome.f_hat
         np.testing.assert_allclose(phases.theta, np.pi * (action + 1.0))
         assert f_hat.transmit_power == pytest.approx(config.p_max, rel=1e-9)
         eff = cascaded_channel(env.channels, phases) @ f_hat.f_hat
@@ -84,29 +86,23 @@ class TestEnvDecode:
     def test_one_bit_decoding(self, config):
         env = DownlinkEnv(config, Variant.IC, one_bit=True)
         env.reset(np.random.default_rng(1))
-        phases, _ = env.decode(np.random.default_rng(2).uniform(-1, 1, 32))
-        assert np.isin(phases.theta, (0.0, np.pi)).all()
+        _, outcome = env.step(np.random.default_rng(2).uniform(-1, 1, 32))
+        assert np.isin(outcome.phases.theta, (0.0, np.pi)).all()
 
     def test_oresou_layout(self, config):
         env = DownlinkEnv(config, Variant.ORESOU)
         env.reset(np.random.default_rng(1))
-        phases, f_hat = env.decode(np.random.default_rng(2).uniform(-1, 1, 80))
-        assert phases.theta.shape == (32,)
-        assert f_hat.f_hat.shape == (4, 2)
+        _, outcome = env.step(np.random.default_rng(2).uniform(-1, 1, 80))
+        assert outcome.phases.theta.shape == (32,)
+        assert outcome.f_hat.f_hat.shape == (4, 2)
 
     def test_joint_layout(self, config):
         env = DownlinkEnv(config, Variant.JOINT)
         env.reset(np.random.default_rng(1))
         action = np.random.default_rng(2).uniform(-1, 1, 48)
-        phases, f_hat = env.decode(action)
-        np.testing.assert_allclose(phases.theta, np.pi * (action[:32] + 1.0))
-        assert f_hat.transmit_power == pytest.approx(config.p_max, rel=1e-9)
-
-    def test_bad_action_shape(self, config):
-        env = DownlinkEnv(config, Variant.IC)
-        env.reset(np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            env.decode(np.zeros(31))
+        _, outcome = env.step(action)
+        np.testing.assert_allclose(outcome.phases.theta, np.pi * (action[:32] + 1.0))
+        assert outcome.f_hat.transmit_power == pytest.approx(config.p_max, rel=1e-9)
 
 
 class TestEnvStep:
@@ -191,8 +187,6 @@ class TestStepRejectsMalformedActions:
         action[-1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             env.step(action)
-        with pytest.raises(ValueError, match="non-finite"):
-            env.decode(action)
 
 
 def _reference_state(env, prev_feature):

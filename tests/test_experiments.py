@@ -2,13 +2,16 @@ import csv
 import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from click.testing import CliRunner
 
 from uavris import experiments
 from uavris.agent import DdpgHyperparams
+from uavris.cli import main
 from uavris.env import Objective
 from uavris.experiments import (
     ExperimentSpec,
@@ -163,6 +166,48 @@ class TestLoadSaveSpec:
         save_spec(spec, out)
         assert load_spec(out) == spec
         assert "p_max" not in yaml.safe_load(out.read_text())["scenario"]
+
+
+class TestSpecValueTypes:
+    # each value of the wrong type is named in a SpecError, never a traceback
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ("seeds: 3", "seeds"),
+            ("p_max_grid_dbm: 45", "p_max_grid_dbm"),
+            ("iterations: '10'", "iterations"),
+            ("scenario: {noise_power_dbm: x}", "scenario.noise_power_dbm"),
+            ('one_bit: "no"', "one_bit"),
+            ("one_bit: 1", "one_bit"),
+            ("iterations: 10.5", "iterations"),
+            ("iterations: true", "iterations"),
+            ("output_dir: 5", "output_dir"),
+            ("scenario: {n_bs_antennas: 4.0}", "scenario.n_bs_antennas"),
+            ("scenario: {pathloss_enabled: 'no'}", "scenario.pathloss_enabled"),
+            ("scenario: {bs_position: [0, 0]}", "scenario.bs_position"),
+            ("scenario: {element_spacing_x: wide}", "scenario.element_spacing_x"),
+            ("seeds: [a]", "seeds"),
+            ("ddpg: {hidden_dims: [16.0, 16.0]}", "ddpg.hidden_dims"),
+        ],
+    )
+    def test_wrong_type_is_spec_error(self, tmp_path, text, field):
+        p = tmp_path / "spec.yaml"
+        p.write_text(text + "\n")
+        with pytest.raises(SpecError, match=f"^{field}: "):
+            load_spec(p)
+        result = CliRunner().invoke(main, ["validate-config", "--config", str(p)])
+        assert result.exit_code == 1
+        assert f"spec error: {field}: " in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_every_config_loads_and_round_trips(self, tmp_path):
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
+        assert paths
+        for path in paths:
+            spec = load_spec(path)
+            save_spec(spec, tmp_path / path.name)
+            assert load_spec(tmp_path / path.name) == spec
 
 
 class TestRunAlgorithm:
