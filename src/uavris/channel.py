@@ -103,9 +103,8 @@ def steering_bs(elevation, downtilt, n_b, d_z, wavelength) -> np.ndarray:
     return np.exp(1j * kz * np.arange(n_b)) / np.sqrt(n_b)
 
 
-def los_bs_ris(geom: LinkGeometry, config: SystemConfig) -> np.ndarray:
-    """LoS BS->RIS block: outer product of the two steering vectors times
-    the propagation-delay phasor.  Shape (N, N_B), unit Frobenius norm."""
+def _ris_link(geom: LinkGeometry, config: SystemConfig) -> tuple[np.ndarray, complex]:
+    """The RIS steering vector of a link and its propagation-delay phasor."""
     a_r = steering_ris(
         geom.azimuth,
         geom.elevation,
@@ -115,26 +114,23 @@ def los_bs_ris(geom: LinkGeometry, config: SystemConfig) -> np.ndarray:
         config.d_y,
         config.wavelength,
     )
+    return a_r, np.exp(-2j * np.pi * config.carrier_freq * geom.delay)
+
+
+def los_bs_ris(geom: LinkGeometry, config: SystemConfig) -> np.ndarray:
+    """LoS BS->RIS block: outer product of the two steering vectors times
+    the propagation-delay phasor.  Shape (N, N_B), unit Frobenius norm."""
+    a_r, phasor = _ris_link(geom, config)
     a_b = steering_bs(
         geom.elevation, config.downtilt, config.n_bs_antennas, config.d_z, config.wavelength
     )
-    phasor = np.exp(-2j * np.pi * config.carrier_freq * geom.delay)
     return np.outer(a_r, a_b.conj()) * phasor
 
 
 def los_ris_uav(geom: LinkGeometry, config: SystemConfig) -> np.ndarray:
     """LoS RIS->UAV row: conjugated RIS steering times the delay phasor.
     Shape (1, N), unit 2-norm."""
-    a_r = steering_ris(
-        geom.azimuth,
-        geom.elevation,
-        config.ris_elements_x,
-        config.ris_elements_y,
-        config.d_x,
-        config.d_y,
-        config.wavelength,
-    )
-    phasor = np.exp(-2j * np.pi * config.carrier_freq * geom.delay)
+    a_r, phasor = _ris_link(geom, config)
     return (a_r.conj() * phasor)[np.newaxis, :]
 
 

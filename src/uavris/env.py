@@ -69,12 +69,11 @@ class DownlinkEnv:
     """One (config, variant, objective) environment instance.
 
     Channels are redrawn on reset and held fixed until the next one.
-    The state is the pathloss-normalized channel entries (real and
-    imaginary parts) plus the previous step's reward-scaled min-SINR, 0
-    after a reset.  The channel entries are
-    computed once per channel realization, whenever ``channels`` is
-    assigned (``reset`` does so); arrays of a ``ChannelSet`` changed in
-    place are not seen by the state.
+    The state is one vector: the pathloss-normalized channel entries
+    (real and imaginary parts), built whenever ``channels`` is assigned
+    (``reset`` does so), then the previous step's reward-scaled min-SINR,
+    0 after a reset, which each step overwrites.  Arrays of a
+    ``ChannelSet`` changed in place are not seen by the state.
     """
 
     def __init__(
@@ -89,52 +88,41 @@ class DownlinkEnv:
         self.objective = Objective(objective)
         self.one_bit = one_bit
         ne = config.n_ris_elements
-        beam = 2 * config.n_bs_antennas * config.n_uav
         self.state_dim = 2 * config.n_uav * ne + 2 * ne * config.n_bs_antennas + 1
-        if self.variant is Variant.IC:
-            self.action_dim = ne
-        elif self.variant is Variant.ORESOU:
-            self.action_dim = ne * config.n_uav + beam
-        else:
-            self.action_dim = ne + beam
+        # the action is the phase source (raw phases, or ORESOU's association
+        # scores) up to _split, then the raw precoder, which IC does not have
+        self._split = ne * config.n_uav if self.variant is Variant.ORESOU else ne
+        beam = 0 if self.variant is Variant.IC else 2 * config.n_bs_antennas * config.n_uav
+        self.action_dim = self._split + beam
         self.geometry = build_geometry(config)
         self.channels = None
-        self._prev_min_sinr_feature = 0.0
 
     @property
     def channels(self) -> ChannelSet | None:
         return self._channels
 
     @channels.setter
-    def channels(self, channels: ChannelSet | None) -> None:
-        self._channels = channels
-        self._features = None if channels is None else self._channel_features(channels)
-
-    def _channel_features(self, ch: ChannelSet) -> np.ndarray:
-        """The state with its last entry, the min-SINR feature, left at 0."""
-        n = self.config.elements_per_ris
-        # divide each link block by its pathloss amplitude -> O(1) features
-        g_norm = ch.g_stacked / np.repeat(ch.pathloss_bs_ris, n)[:, np.newaxis]
-        h_norm = ch.h_stacked / np.repeat(ch.pathloss_ris_uav.T, n, axis=1)
-        return np.concatenate(
-            [
-                h_norm.real.ravel(),
-                h_norm.imag.ravel(),
-                g_norm.real.ravel(),
-                g_norm.imag.ravel(),
-                [0.0],
-            ]
-        )
-
-    def _state(self) -> np.ndarray:
-        state = self._features.copy()
-        state[-1] = self._prev_min_sinr_feature
-        return state
+    def channels(self, ch: ChannelSet | None) -> None:
+        self._channels = ch
+        self._state_vector = None
+        if ch is not None:
+            n = self.config.elements_per_ris
+            # divide each link block by its pathloss amplitude -> O(1) features
+            g_norm = ch.g_stacked / np.repeat(ch.pathloss_bs_ris, n)[:, np.newaxis]
+            h_norm = ch.h_stacked / np.repeat(ch.pathloss_ris_uav.T, n, axis=1)
+            self._state_vector = np.concatenate(
+                [
+                    h_norm.real.ravel(),
+                    h_norm.imag.ravel(),
+                    g_norm.real.ravel(),
+                    g_norm.imag.ravel(),
+                    [0.0],
+                ]
+            )
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         self.channels = assemble_channels(self.config, self.geometry, rng)
-        self._prev_min_sinr_feature = 0.0
-        return self._state()
+        return self._state_vector.copy()
 
     def _decode(self, action: np.ndarray) -> tuple[PhaseConfig, BeamformingMatrix, np.ndarray]:
         """Map a raw action in [-1, 1]^k onto the feasible set: the phases,
@@ -144,24 +132,21 @@ class DownlinkEnv:
         precoder column of zeros) when the action has no feasible decoding.
         """
         c = self.config
-        ne = c.n_ris_elements
+        head, tail = action[: self._split], action[self._split :]
         if self.variant is Variant.ORESOU:
-            split = ne * c.n_uav
-            assoc = decode_association(action[:split], c.n_uav)
-            f_hat = normalize_beamformer(action[split:], c.n_bs_antennas, c.n_uav, c.p_max)
+            assoc = decode_association(head, c.n_uav)
+            f_hat = normalize_beamformer(tail, c.n_bs_antennas, c.n_uav, c.p_max)
             phases = oresou_phases(assoc, self.channels, f_hat)
-            if self.one_bit:
-                phases = quantize_one_bit(phases)
-            return phases, f_hat, cascaded_channel(self.channels, phases)
-
-        phases = PhaseConfig(theta=np.pi * (action[:ne] + 1.0))
+        else:
+            phases = PhaseConfig(theta=np.pi * (head + 1.0))
         if self.one_bit:
             phases = quantize_one_bit(phases)
+        cascade = cascaded_channel(self.channels, phases)
         if self.variant is Variant.IC:
-            cascade = cascaded_channel(self.channels, phases)
-            return phases, ic_beamforming(self.channels, phases, c.p_max, cascade=cascade), cascade
-        f_hat = normalize_beamformer(action[ne:], c.n_bs_antennas, c.n_uav, c.p_max)
-        return phases, f_hat, cascaded_channel(self.channels, phases)
+            f_hat = ic_beamforming(self.channels, phases, c.p_max, cascade=cascade)
+        elif self.variant is Variant.JOINT:
+            f_hat = normalize_beamformer(tail, c.n_bs_antennas, c.n_uav, c.p_max)
+        return phases, f_hat, cascade
 
     def step(self, action: np.ndarray) -> tuple[np.ndarray, StepOutcome]:
         """Decode, evaluate SINRs, compute the reward, advance the state.
@@ -178,8 +163,8 @@ class DownlinkEnv:
         try:
             phases, f_hat, cascade = self._decode(action)
         except (RankDeficientError, ZeroBeamformerError):
-            self._prev_min_sinr_feature = _INFEASIBLE.reward
-            return self._state(), _INFEASIBLE
+            self._state_vector[-1] = _INFEASIBLE.reward
+            return self._state_vector.copy(), _INFEASIBLE
 
         report = sinr_report(cascade @ f_hat.f_hat, self.config.noise_power)
         low, high = MIN_SINR_CLIP_DB
@@ -188,8 +173,8 @@ class DownlinkEnv:
             reward = clipped_db / REWARD_SCALE
         else:
             reward = report.sum_rate / REWARD_SCALE
-        self._prev_min_sinr_feature = clipped_db / REWARD_SCALE
+        self._state_vector[-1] = clipped_db / REWARD_SCALE
         outcome = StepOutcome(
             phases=phases, f_hat=f_hat, report=report, feasible=True, reward=reward
         )
-        return self._state(), outcome
+        return self._state_vector.copy(), outcome

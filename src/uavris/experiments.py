@@ -78,11 +78,19 @@ class ExperimentSpec:
             if a not in ALGORITHMS:
                 raise SpecError(f"algorithms: unknown algorithm {a!r}")
         for p in self.p_max_grid_dbm:
-            if not 0.0 <= p <= 60.0:
-                raise SpecError(f"p_max_grid_dbm: {p} outside [0, 60] dBm")
+            _check_p_max_dbm(p, "p_max_grid_dbm")
         for name in ("iterations", "rolling_window"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name}: must be >= 1")
+        # checked here, not in DdpgHyperparams, whose ring a short run shrinks below a batch
+        if self.ddpg.batch_size > self.ddpg.buffer_capacity:
+            raise SpecError("ddpg.batch_size exceeds ddpg.buffer_capacity: no update would run")
+
+
+def _check_p_max_dbm(p: float, where: str) -> None:
+    """The one transmit-power bound: outside [0, 60] dBm, NaN included, is a SpecError."""
+    if not 0.0 <= p <= 60.0:
+        raise SpecError(f"{where}: {p} outside [0, 60] dBm")
 
 
 # spec keys of a section that are not fields of its dataclass: dB/dBm
@@ -138,6 +146,9 @@ def _parse_section(cls, raw, name: str = ""):
     aliases, rejected = _DB_ALIASES.get(cls, {}), _REJECTED.get(cls, {})
     kwargs = {}
     try:
+        for alias, (target, _) in aliases.items():
+            if alias in raw and target in raw:
+                raise SpecError(f"{name}.{alias} and {name}.{target}: give one, not both")
         for key, value in raw.items():
             where = f"{name}.{key}" if name else f"{key}"
             if key in rejected:
@@ -268,6 +279,7 @@ def _run_cells(spec: ExperimentSpec, experiment: str, cells):
 def run_fairness(spec: ExperimentSpec, p_max_dbm: float = 35.0) -> Path:
     """Joint-DRL training under the max-sum-rate and then the max-min-SINR
     objective; per-step rows with rolling averages."""
+    _check_p_max_dbm(p_max_dbm, "p_max_dbm")
     cells = [
         (Variant.JOINT.value, p_max_dbm, seed, objective.value, spec.one_bit)
         for objective in (Objective.MAX_SUM_RATE, Objective.MAX_MIN_SINR)
@@ -299,7 +311,9 @@ def run_pmax_sweep(spec: ExperimentSpec) -> Path:
 
 def run_onebit_table(spec: ExperimentSpec, p_max_dbm: float = 45.0) -> Path:
     """Continuous vs one-bit best min-SINR per algorithm, with the
-    continuous-minus-one-bit difference, per seed and seed mean."""
+    continuous-minus-one-bit difference, per seed and seed mean.  Both
+    phase modes always run, so ``spec.one_bit`` has no effect here."""
+    _check_p_max_dbm(p_max_dbm, "p_max_dbm")
     cells = [
         (algorithm, p_max_dbm, seed, spec.objective, one_bit)
         for algorithm in spec.algorithms

@@ -89,6 +89,22 @@ class TestFairness:
         assert (out / "fairness.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["fairness", "onebit-table"])
+@pytest.mark.parametrize("p_max_dbm", ["200", "-300", "nan"])
+def test_p_max_dbm_out_of_range(runner, tmp_path, command, p_max_dbm):
+    # the same [0, 60] dBm bound as every p_max_grid_dbm entry, checked
+    # before any cell runs, so nothing is written
+    out = tmp_path / "results"
+    result = runner.invoke(
+        main,
+        [command, "--config", write_spec(tmp_path), "--out", str(out), f"--p-max-dbm={p_max_dbm}"]
+        + SMALL_OPTS,
+    )
+    assert result.exit_code == 1
+    assert "spec error: p_max_dbm: " in result.output
+    assert not out.exists()
+
+
 class TestValidateConfig:
     def test_valid(self, runner, tmp_path):
         cfg = write_spec(tmp_path)

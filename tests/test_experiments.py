@@ -85,6 +85,25 @@ class TestLoadSaveSpec:
         assert spec.scenario.noise_power == pytest.approx(1e-12)
         assert spec.scenario.rician_bs_ris == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("alias_first", [True, False])
+    @pytest.mark.parametrize(
+        "alias,field",
+        [
+            ("noise_power_dbm: -90", "noise_power: 1.0e-13"),
+            ("rician_bs_ris_db: 20", "rician_bs_ris: 10.0"),
+            ("rician_ris_uav_db: 20", "rician_ris_uav: 10.0"),
+        ],
+    )
+    def test_scenario_alias_and_field_both_given(self, tmp_path, alias, field, alias_first):
+        # neither key may silently win over the other, in either order
+        lines = [alias, field] if alias_first else [field, alias]
+        p = tmp_path / "spec.yaml"
+        p.write_text("scenario:\n" + "".join(f"  {line}\n" for line in lines))
+        with pytest.raises(SpecError) as exc:
+            load_spec(p)
+        for line in lines:
+            assert f"scenario.{line.split(':')[0]}" in str(exc.value)
+
     @pytest.mark.parametrize("line", ["p_max: 10.0", "p_max_dbm: 40"])
     def test_scenario_p_max_rejected(self, tmp_path, line):
         # every cell sets the power from the grid or the command line
@@ -131,6 +150,17 @@ class TestLoadSaveSpec:
         field = line.split(":")[0]
         with pytest.raises(SpecError, match=f"^ddpg: {field} "):
             load_spec(p)
+
+    def test_batch_larger_than_buffer_is_spec_error(self, tmp_path):
+        # a ring smaller than one batch never fills a batch: no update ever runs
+        p = tmp_path / "spec.yaml"
+        p.write_text("ddpg:\n  batch_size: 32\n  buffer_capacity: 16\n")
+        with pytest.raises(SpecError) as exc:
+            load_spec(p)
+        assert "ddpg.batch_size" in str(exc.value)
+        assert "ddpg.buffer_capacity" in str(exc.value)
+        p.write_text("ddpg:\n  batch_size: 32\n  buffer_capacity: 32\n")
+        assert load_spec(p).ddpg.buffer_capacity == 32
 
     @pytest.mark.parametrize("value", ["5", "[]"])
     def test_ddpg_not_a_mapping_is_spec_error(self, tmp_path, value):
