@@ -2,11 +2,15 @@
 temporal-difference critic updates and deterministic policy-gradient
 actor updates, soft target blending and Gaussian exploration noise.
 
-The networks, optimizer moments, replay buffer and update scratch are
+The networks, optimizer state, gradient buffer and replay buffer are
 float32 (``NET_DTYPE``); weights are drawn in float64 and rounded, so the
 random stream is the one a float64 agent would draw.  The environment
 side stays float64: ``policy`` and ``select_action`` return float64
 actions, and stored transitions are rounded on ``push``.
+
+Both networks update through one path, a backward pass into one shared
+gradient buffer and an Adam step; the actor's pass starts from
+d(-mean Q), so Adam's descent ascends the critic's value.
 
 The replay buffer stores the entries of a state but the last once for
 all the consecutive transitions that repeat them: the environment's
@@ -203,21 +207,13 @@ class DdpgAgent:
     hyper: DdpgHyperparams
     actor_opt: Adam = field(init=False)
     critic_opt: Adam = field(init=False)
-    # one gradient buffer and one scratch vector, sized to the larger net
-    # and shared by every update; allocated on the first update
+    # sized to the larger net and allocated on the first update; both nets
+    # backpropagate into it, and the target blend uses it as scratch
     _grads: np.ndarray | None = field(init=False, default=None, repr=False)
-    _work: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.actor_opt = Adam(lr=self.hyper.actor_lr)
         self.critic_opt = Adam(lr=self.hyper.critic_lr)
-
-    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._grads is None:
-            size = max(self.actor.flat.size, self.critic.flat.size)
-            self._grads = np.empty(size, dtype=NET_DTYPE)
-            self._work = np.empty(size, dtype=NET_DTYPE)
-        return self._grads, self._work
 
     @classmethod
     def create(
@@ -265,11 +261,7 @@ class DdpgAgent:
         q, cache = mlp_forward_cached(self.critic, sa)
         err = q[:, 0] - targets
         loss = float(np.mean(err**2))
-        upstream = (2.0 / n) * err[:, np.newaxis]
-        grads, work = self._buffers()
-        grads = grads[: self.critic.flat.size]
-        mlp_gradients(self.critic, cache, upstream, out=grads, wrt="params")
-        self.critic_opt.step(self.critic.flat, grads, work)
+        self._update(self.critic, self.critic_opt, cache, (2.0 / n) * err[:, np.newaxis])
         return loss
 
     def actor_train_step(self, batch) -> float:
@@ -282,22 +274,29 @@ class DdpgAgent:
         q, critic_cache = mlp_forward_cached(self.critic, sa)
         objective = float(np.mean(q))
 
-        # d(mean Q)/d action, chained through the actor; negate for ascent
-        upstream = np.full((n, 1), 1.0 / n, dtype=NET_DTYPE)
+        # d(-mean Q)/d action, chained through the actor
+        upstream = np.full((n, 1), -1.0 / n, dtype=NET_DTYPE)
         _, _, action_grad = mlp_gradients(
             self.critic, critic_cache, upstream, wrt="input",
             input_columns=slice(states.shape[1], None),
         )
-        grads, work = self._buffers()
-        grads = grads[: self.actor.flat.size]
-        mlp_gradients(self.actor, actor_cache, action_grad, out=grads, wrt="params")
-        self.actor_opt.step(self.actor.flat, np.negative(grads, out=grads), work)
+        self._update(self.actor, self.actor_opt, actor_cache, action_grad)
         return objective
 
+    def _update(self, net: Mlp, opt: Adam, cache, upstream: np.ndarray) -> None:
+        """Backpropagate ``upstream`` through ``net``'s cached forward pass
+        into the gradient buffer and take ``opt``'s step on ``net``."""
+        if self._grads is None:
+            size = max(self.actor.flat.size, self.critic.flat.size)
+            self._grads = np.zeros(size, dtype=NET_DTYPE)
+        grads = self._grads[: net.flat.size]
+        mlp_gradients(net, cache, upstream, out=grads, wrt="params")
+        opt.step(net.flat, grads)
+
     def update_targets(self) -> None:
-        _, work = self._buffers()
-        soft_update(self.target_actor, self.actor, self.hyper.soft_update_tau, work)
-        soft_update(self.target_critic, self.critic, self.hyper.soft_update_tau, work)
+        tau = self.hyper.soft_update_tau
+        soft_update(self.target_actor, self.actor, tau, self._grads)
+        soft_update(self.target_critic, self.critic, tau, self._grads)
 
     def train_step(self, rng: np.random.Generator) -> tuple[float, float]:
         """Sample a batch, update critic then actor, soft-update targets.

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from pathlib import Path
 
 import click
+import yaml
 
 from .experiments import (
     ExperimentSpec,
@@ -20,11 +22,14 @@ from .experiments import (
 
 
 def _spec_from_options(config, experiment, seeds, out, iterations, one_bit) -> ExperimentSpec:
+    """The spec the command runs.  A spec that names no study takes the
+    command's; one that names another is rejected by the study's runner
+    before any cell runs."""
+    spec, updates = ExperimentSpec(), {"experiment": experiment}
     if config is not None:
         spec = load_spec(config)
-    else:
-        spec = ExperimentSpec()
-    updates = {"experiment": experiment}
+        if "experiment" in (yaml.safe_load(Path(config).read_text(encoding="utf-8")) or {}):
+            updates = {}
     if seeds:
         updates["seeds"] = tuple(seeds)
     if out is not None:

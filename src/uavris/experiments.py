@@ -77,6 +77,8 @@ class ExperimentSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise SpecError(f"algorithms: unknown algorithm {a!r}")
+        if any(seed < 0 for seed in self.seeds):
+            raise SpecError(f"seeds: {self.seeds} holds a negative seed")
         for p in self.p_max_grid_dbm:
             _check_p_max_dbm(p, "p_max_grid_dbm")
         for name in ("iterations", "rolling_window"):

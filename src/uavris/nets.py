@@ -15,23 +15,21 @@ scalars: under NumPy's promotion rules a float64 scalar would lift every
 float32 product to float64 and round it back, which is slower and rounds
 differently.  In float64 the two kinds of scalar give the same bits.
 
-Buffers.  The parameter-sized functions take optional caller-owned
-buffers so that a training step allocates nothing of parameter size:
+Buffers.  A training step allocates nothing of parameter size:
 
 * ``mlp_gradients(..., out=g)`` writes the parameter gradients into
   ``g`` in the flat layout (the returned per-layer arrays are views into
   it) and leaves every other argument untouched.
-* ``Adam.step(params, grads, work=w)`` uses ``w`` as scratch and also
-  overwrites ``grads``, which the step consumes; the optimizer owns its
-  moment vectors ``m``/``v``.
+* ``Adam.step(params, grads)`` consumes ``grads`` as scratch.  The
+  optimizer owns its moments ``m``/``v`` and one more scratch vector,
+  all allocated zero-filled on its first step.
 * ``soft_update(target, main, tau, work=w)`` uses ``w`` as scratch.
 
 ``g`` and ``w`` may be longer than the parameter vector; only the leading
 part is used, and they share the parameters' dtype.  Without them each
-call allocates what it needs, changes no argument other than the
-parameters it updates, and gives the same bits.  ``DdpgAgent`` owns one
-gradient buffer and one scratch vector, sized to its larger network and
-shared by all of its updates.
+call allocates what it needs and gives the same bits.  ``DdpgAgent``
+owns one gradient buffer, sized to its larger network, into which both
+networks backpropagate and which the target blend reuses as scratch.
 """
 
 from __future__ import annotations
@@ -230,22 +228,16 @@ class Adam:
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    _work: np.ndarray | None = field(init=False, default=None, repr=False)
 
-    def step(self, params: np.ndarray, grads: np.ndarray, work: np.ndarray | None = None) -> None:
-        """Update ``params`` in place to descend along ``grads``.
-
-        ``work`` is scratch of at least the parameter size; when it is
-        given, ``grads`` is overwritten too.  Without it both are fresh
-        arrays and ``grads`` is left intact."""
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update ``params`` in place to descend along ``grads``, which
+        the step overwrites."""
         if self.m is None:
-            self.m = np.zeros_like(params)
-            self.v = np.zeros_like(params)
-        if params.shape != self.m.shape:
-            raise ValueError("parameter size changed under the optimizer")
-        if work is None:
-            work, grads = np.empty_like(params), np.array(grads, dtype=params.dtype)
-        else:
-            work = work[: params.size]
+            self.m, self.v, self._work = (np.zeros_like(params) for _ in range(3))
+        if not params.shape == grads.shape == self.m.shape:
+            raise ValueError("params and grads must keep the optimizer's parameter shape")
+        work = self._work
         self.t += 1
         # fused bias correction: p -= lr_t * m / (sqrt(v) + eps * sqrt(bc2)),
         # each product rounded in the same order as the unfused form;

@@ -105,6 +105,37 @@ def test_p_max_dbm_out_of_range(runner, tmp_path, command, p_max_dbm):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,named", [("fairness", "onebit_table"), ("pmax-sweep", "fairness"),
+                      ("onebit-table", "pmax_sweep")]
+)
+def test_spec_naming_another_study_is_spec_error(runner, tmp_path, command, named):
+    # the command does not replace the study the spec names, and runs nothing
+    out = tmp_path / "results"
+    cfg = write_spec(tmp_path, SMALL_SPEC + f"experiment: {named}\n")
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)] + SMALL_OPTS)
+    assert result.exit_code == 1
+    assert "spec error: " in result.output
+    assert repr(named) in result.output and repr(command.replace("-", "_")) in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,seeds",
+    [(["validate-config"], "[0, -1]"), (["pmax-sweep"], "[0, -1]"),
+     (["pmax-sweep", "--seed", "3", "--seed", "-2"], "[0]")],
+    ids=["validate-config", "spec", "option"],
+)
+def test_negative_seed_is_spec_error(runner, tmp_path, monkeypatch, args, seeds):
+    # rejected before the first cell, not after the cells of the seeds before it
+    monkeypatch.chdir(tmp_path)
+    cfg = write_spec(tmp_path, SMALL_SPEC.replace("[0]", seeds))
+    result = runner.invoke(main, args + ["--config", cfg])
+    assert result.exit_code == 1
+    assert "spec error: seeds: " in result.output
+    assert not (tmp_path / "results").exists()
+
+
 class TestValidateConfig:
     def test_valid(self, runner, tmp_path):
         cfg = write_spec(tmp_path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,19 @@ class TestGradients:
             assert in_grad[i] == pytest.approx(num, abs=1e-6)
 
 
+def _unfused_adam(opt, params, grads):
+    """Adam's step with a fresh array for every intermediate, rounded in
+    the order ``Adam.step`` rounds; ``grads`` is left intact."""
+    if opt.m is None:
+        opt.m, opt.v = np.zeros_like(params), np.zeros_like(params)
+    opt.t += 1
+    bc2_sqrt = math.sqrt(1.0 - opt.beta2**opt.t)
+    lr_t = opt.lr * bc2_sqrt / (1.0 - opt.beta1**opt.t)
+    opt.m = opt.m * opt.beta1 + (1.0 - opt.beta1) * grads
+    opt.v = opt.v * opt.beta2 + np.square(grads) * (1.0 - opt.beta2)
+    params -= opt.m * lr_t / (np.sqrt(opt.v) + opt.eps * bc2_sqrt)
+
+
 class TestBuffers:
     @pytest.mark.parametrize("act,batch", [("tanh", 1), ("identity", 9)])
     def test_gradients_into_buffer_match_default(self, act, batch):
@@ -154,17 +169,21 @@ class TestBuffers:
 
     def test_adam_and_soft_update_with_scratch_match_fresh(self):
         rng = np.random.default_rng(11)
-        p1 = rng.standard_normal(50)
-        p2 = p1.copy()
-        a1, a2 = Adam(lr=0.01), Adam(lr=0.01)
-        work = np.empty(64)
-        for _ in range(5):
-            g = rng.standard_normal(50)
-            a1.step(p1, g)
-            a2.step(p2, g, work)  # after the default path, which must leave g intact
-        assert np.array_equal(p1, p2)
-        assert np.array_equal(a1.m, a2.m) and np.array_equal(a1.v, a2.v)
+        for dtype in (np.float32, np.float64):
+            params = rng.standard_normal(50).astype(dtype)
+            ref_params = params.copy()
+            opt, ref = Adam(lr=0.01), Adam(lr=0.01)
+            for _ in range(5):
+                g = rng.standard_normal(50).astype(dtype)
+                _unfused_adam(ref, ref_params, g)
+                consumed = g.copy()
+                opt.step(params, consumed)
+                assert not np.array_equal(consumed, g)  # the step uses grads as scratch
+            assert opt.t == ref.t == 5
+            for got, want in ((params, ref_params), (opt.m, ref.m), (opt.v, ref.v)):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
+        work = np.empty(64)
         main = Mlp.create([3, 4, 2], rng)
         t1 = Mlp.create([3, 4, 2], rng)
         t2 = t1.copy()
