@@ -9,15 +9,17 @@
 # (parent first on the 1st, 3rd, ... seed).  Prints each run's gated
 # metrics, then per metric each side's median and quartiles, the change's
 # wins (ties count for neither side), and whether the median gap exceeds
-# the parent's interquartile range.  Last, per seed, whether the two sides'
-# per-cell results (cell_best_db and cell_tail_db) are identical, and if
-# not, how many differ and by how much.  Before the tables, each side's
-# line count of src/uavris/*.py.  Each run's output and full result JSON
-# are kept in the directory named on the first line.
+# the parent's interquartile range: `better` or `worse` for the change
+# when it does, in either direction, `no` when it is within it.  Last,
+# per seed, whether the two sides' per-cell results (cell_best_db and
+# cell_tail_db) are identical, and if not, how many differ and by how
+# much.  Before the tables, each side's line count of src/uavris/*.py.
+# Each run's output and full result JSON are kept in the directory named
+# on the first line.
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
-    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 workload=$1
@@ -95,10 +97,11 @@ for name, spec in gated.items():
     sign = 1.0 if spec["better"] == "lower" else -1.0
     wins = int(np.sum(sign * (p - c) > 0))
     pq, cq = np.quantile(p, [0.25, 0.5, 0.75]), np.quantile(c, [0.25, 0.5, 0.75])
-    gap = sign * (pq[1] - cq[1])
+    gap = sign * (pq[1] - cq[1])  # > 0 when the change's median is better
+    resolved = "no" if abs(gap) <= pq[2] - pq[0] else "better" if gap > 0 else "worse"
     print(f"{name:16s} {pq[1]:12.5g} [{pq[0]:9.5g}, {pq[2]:9.5g}] "
           f"{cq[1]:12.5g} [{cq[0]:9.5g}, {cq[2]:9.5g}] {wins:3d}/{len(seeds):<2d} "
-          f"{'yes' if gap > pq[2] - pq[0] else 'no':>17s}")
+          f"{resolved:>17s}")
 
 print("\nper-cell results, change against parent")
 for seed in seeds:

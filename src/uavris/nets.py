@@ -3,8 +3,8 @@ plus an Adam optimizer, in numpy.  Inputs may be a single vector or a
 (batch, features) array.
 
 All parameters of a network live in one flat vector; the per-layer
-weight/bias arrays are views into it, so optimizer and target-network
-updates are single whole-vector operations.
+weight/bias arrays are views into it, so an optimizer step is a few
+whole-vector operations.
 
 Precision.  The dtype of a network's ``flat`` vector is the dtype of all
 of its arithmetic: inputs and upstream gradients are cast to it, and
@@ -23,13 +23,12 @@ Buffers.  A training step allocates nothing of parameter size:
 * ``Adam.step(params, grads)`` consumes ``grads`` as scratch.  The
   optimizer owns its moments ``m``/``v`` and one more scratch vector,
   all allocated zero-filled on its first step.
-* ``soft_update(target, main, tau, work=w)`` uses ``w`` as scratch.
 
-``g`` and ``w`` may be longer than the parameter vector; only the leading
-part is used, and they share the parameters' dtype.  Without them each
-call allocates what it needs and gives the same bits.  ``DdpgAgent``
-owns one gradient buffer, sized to its larger network, into which both
-networks backpropagate and which the target blend reuses as scratch.
+``g`` may be longer than the parameter vector; only the leading part is
+used, and it shares the parameters' dtype.  Without it the call
+allocates what it needs and gives the same bits.  ``DdpgAgent`` owns one
+gradient buffer, sized to its larger network, into which both networks
+backpropagate.
 """
 
 from __future__ import annotations
@@ -46,8 +45,10 @@ __all__ = [
     "mlp_gradients",
     "flatten_gradients",
     "Adam",
-    "soft_update",
 ]
+
+# Adam flushes subnormal first moments every this many steps
+_FLUSH_EVERY = 16
 
 
 def _layer_views(flat: np.ndarray, layer_dims: list[int]):
@@ -219,7 +220,19 @@ def flatten_gradients(w_grads, b_grads) -> np.ndarray:
 
 @dataclass
 class Adam:
-    """Adaptive-moment optimizer over one flat parameter vector."""
+    """Adaptive-moment optimizer over one flat parameter vector.
+
+    Every ``_FLUSH_EVERY``-th step ends by setting to 0 the first moments
+    below the dtype's smallest normal number (``finfo.tiny``) whose
+    parameter is at least a floor.  A dead unit's gradient is exactly 0,
+    so its moment decays by ``beta1`` per step through the subnormal
+    range, where each pass over it runs many times slower.  From step
+    ``_FLUSH_EVERY`` on, such a moment moves its parameter by at most
+    S = lr * tiny / (eps * (1 - beta1**_FLUSH_EVERY)) per step.  The floor
+    is 2**(nmant + 4) * S, so S is below a quarter of the float spacing
+    at the parameter and p - step rounds back to p: the steps the flush
+    skips change no bit.  A smaller parameter, 0 included, keeps its
+    moment, which may still move it."""
 
     lr: float
     beta1: float = 0.9
@@ -256,16 +269,14 @@ class Adam:
         np.multiply(self.m, lr_t, out=grads)
         grads /= work
         params -= grads
+        if self.t % _FLUSH_EVERY == 0:
+            self._flush_subnormal_moments(params)
 
+    def _flush_subnormal_moments(self, params: np.ndarray) -> None:
+        info = np.finfo(self.m.dtype)
+        small = np.abs(self.m, out=self._work) < info.tiny
+        if small.any():
+            step_bound = self.lr * float(info.tiny) / (self.eps * (1.0 - self.beta1**_FLUSH_EVERY))
+            small &= np.abs(params, out=self._work) >= 2.0 ** (info.nmant + 4) * step_bound
+            np.copyto(self.m, 0.0, where=small)
 
-def soft_update(target: Mlp, main: Mlp, tau: float, work: np.ndarray | None = None) -> None:
-    """Blend main parameters into the target network in place; ``work``
-    is optional scratch of at least the parameter size."""
-    if target.layer_dims != main.layer_dims:
-        raise ValueError("target and main networks differ in structure")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must be in (0, 1]")
-    work = np.empty_like(main.flat) if work is None else work[: main.flat.size]
-    target.flat *= 1.0 - tau
-    np.multiply(main.flat, tau, out=work)
-    target.flat += work

@@ -6,7 +6,7 @@ import pytest
 
 from uavris.agent import NET_DTYPE, DdpgAgent, DdpgHyperparams, ReplayBuffer
 from uavris.env import Variant
-from uavris.nets import mlp_forward, mlp_forward_cached
+from uavris.nets import mlp_forward_cached
 from uavris.training import STEPS_PER_EPISODE, run_training
 
 
@@ -27,9 +27,8 @@ class TestReplayBuffer:
         rng = np.random.default_rng(0)
         for i in range(5):
             buf.push(np.full(3, i), np.full(2, -i), float(i), np.full(3, i + 1))
-        s, a, r, ns = buf.sample(rng, 4)
+        s, a, r = buf.sample(rng, 4)
         assert s.shape == (4, 3) and a.shape == (4, 2) and r.shape == (4,)
-        assert ns.shape == (4, 3)
 
     def test_ring_overwrite(self):
         buf = ReplayBuffer(capacity=3, state_dim=1, action_dim=1)
@@ -51,13 +50,11 @@ class TestReplayBuffer:
         np.testing.assert_array_equal(buf.states[0], [1.0, 2.0])
         np.testing.assert_array_equal(buf.actions[0], [0.5])
         assert buf.rewards[0] == -3.0
-        np.testing.assert_array_equal(buf.next_states[0], [4.0, 5.0])
 
 
 class _DenseReplayBuffer:
-    """The replay buffer with dense float32 state and next-state arrays,
-    the reference the context-sharing buffer must match bit for bit.
-    ``next_states=False`` puts None in place of the next states."""
+    """The replay buffer with a dense float32 state array, the reference
+    the context-sharing buffer must match bit for bit."""
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity < 1:
@@ -66,7 +63,6 @@ class _DenseReplayBuffer:
         self.states = np.zeros((capacity, state_dim), dtype=NET_DTYPE)
         self.actions = np.zeros((capacity, action_dim), dtype=NET_DTYPE)
         self.rewards = np.zeros(capacity, dtype=NET_DTYPE)
-        self.next_states = np.zeros((capacity, state_dim), dtype=NET_DTYPE)
         self.size = 0
         self._head = 0
 
@@ -75,20 +71,14 @@ class _DenseReplayBuffer:
         self.states[i] = state
         self.actions[i] = action
         self.rewards[i] = reward
-        self.next_states[i] = next_state
         self._head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, rng, batch_size, next_states=True):
+    def sample(self, rng, batch_size):
         if self.size < batch_size:
             raise ValueError(f"buffer holds {self.size} < batch_size {batch_size}")
         idx = rng.integers(0, self.size, size=batch_size)
-        return (
-            self.states[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_states[idx] if next_states else None,
-        )
+        return self.states[idx], self.actions[idx], self.rewards[idx]
 
 
 def _nan(payload: int, sign: int = 0) -> float:
@@ -151,17 +141,13 @@ class TestReplayBufferMatchesDense:
             buf.push(*transition)
             ref.push(*transition)
             assert buf.size == ref.size
-            for name in ("states", "actions", "rewards", "next_states"):
+            for name in ("states", "actions", "rewards"):
                 _assert_same_bits(getattr(buf, name), getattr(ref, name))
             batch_size = min(buf.size, 4)
             for got, want in zip(
                 buf.sample(np.random.default_rng(t), batch_size),
                 ref.sample(np.random.default_rng(t), batch_size),
             ):
-                _assert_same_bits(got, want)
-            *got, none = buf.sample(np.random.default_rng(t), batch_size, next_states=False)
-            assert none is None
-            for got, want in zip(got, ref.sample(np.random.default_rng(t), batch_size)):
                 _assert_same_bits(got, want)
 
     def test_env_like_episodes_hold_under_a_megabyte(self):
@@ -187,7 +173,7 @@ class TestReplayBufferMatchesDense:
 
 
 class TestRunMatchesDenseBuffer:
-    @pytest.mark.parametrize("discount", [0.0, 0.9])
+    @pytest.mark.parametrize("discount", [0.0])  # the one discount the agent accepts
     @pytest.mark.parametrize("one_bit", [False, True])
     @pytest.mark.parametrize("variant", [Variant.IC, Variant.ORESOU, Variant.JOINT])
     def test_trace_bitwise_equal(self, config, monkeypatch, variant, one_bit, discount):
@@ -215,8 +201,6 @@ class TestDdpgAgent:
         assert agent.actor.layer_dims == [5, 16, 16, 3]
         assert agent.critic.layer_dims == [8, 16, 16, 1]
         assert agent.actor.layer_dims[-1] == 3
-        np.testing.assert_array_equal(agent.actor.flat, agent.target_actor.flat)
-        np.testing.assert_array_equal(agent.critic.flat, agent.target_critic.flat)
 
     def test_policy_bounded(self):
         agent = DdpgAgent.create(4, 2, small_hyper(), np.random.default_rng(1))
@@ -239,7 +223,6 @@ class TestDdpgAgent:
             rng.standard_normal((8, 3)),
             rng.standard_normal((8, 2)),
             rng.standard_normal(8),
-            rng.standard_normal((8, 3)),
         )
         first = agent.critic_train_step(batch)
         for _ in range(200):
@@ -261,15 +244,6 @@ class TestDdpgAgent:
         critic_before = agent.critic.flat.copy()
         agent.actor_train_step((rng.standard_normal((8, 3)),))
         np.testing.assert_array_equal(agent.critic.flat, critic_before)
-
-    def test_update_targets_moves_toward_main(self):
-        rng = np.random.default_rng(5)
-        agent = DdpgAgent.create(3, 2, small_hyper(), rng)
-        agent.actor.flat += 1.0
-        gap_before = np.abs(agent.actor.flat - agent.target_actor.flat).max()
-        agent.update_targets()
-        gap_after = np.abs(agent.actor.flat - agent.target_actor.flat).max()
-        assert gap_after == pytest.approx(gap_before * (1 - agent.hyper.soft_update_tau))
 
     def test_train_step_runs_end_to_end(self):
         rng = np.random.default_rng(6)
@@ -306,8 +280,10 @@ class TestHyperparams:
     def test_validation(self):
         with pytest.raises(ValueError):
             DdpgHyperparams(discount=1.0)
-        with pytest.raises(ValueError):
-            DdpgHyperparams(soft_update_tau=0.0)
+        # the message names the removed discount > 0 path
+        with pytest.raises(ValueError, match="discount must be 0.0.*bootstrapped return"):
+            DdpgHyperparams(discount=0.9)
+        assert not hasattr(DdpgHyperparams(), "soft_update_tau")
 
     @pytest.mark.parametrize(
         "field,value",
@@ -317,6 +293,8 @@ class TestHyperparams:
             ("actor_lr", 0.0),
             ("critic_lr", float("nan")),
             ("critic_lr", float("inf")),
+            ("discount", 0.99),
+            ("discount", -0.5),
             ("batch_size", 0),
             ("buffer_capacity", 0),
             ("noise_std", -0.1),
@@ -376,19 +354,15 @@ def _reference_adam(opt, params, grads):
 
 
 def _reference_train_step(agent, rng):
-    """The allocate-everything DDPG update in the agent's dtype: target
-    passes at any discount, all gradients, flattened copies and
+    """The allocate-everything DDPG update in the agent's dtype: the
+    reward as the critic's target, all gradients, flattened copies and
     out-of-place optimizer updates.  The actor step's critic input
-    gradient covers the action columns only, and at discount 0 the
-    targets are not blended."""
-    states, actions, rewards, next_states = agent.buffer.sample(rng, agent.hyper.batch_size)
+    gradient covers the action columns only."""
+    states, actions, rewards = agent.buffer.sample(rng, agent.hyper.batch_size)
     n = states.shape[0]
     dtype = agent.critic.flat.dtype
-    next_actions = mlp_forward(agent.target_actor, next_states)
-    next_q = mlp_forward(agent.target_critic, np.concatenate([next_states, next_actions], 1))
-    targets = rewards + agent.hyper.discount * next_q[:, 0]
     q, cache = mlp_forward_cached(agent.critic, np.concatenate([states, actions], 1))
-    err = q[:, 0] - targets
+    err = q[:, 0] - rewards
     grads, _ = _reference_backward(agent.critic, cache, (2.0 / n) * err[:, np.newaxis])
     _reference_adam(agent.critic_opt, agent.critic.flat, grads)
 
@@ -400,13 +374,6 @@ def _reference_train_step(agent, rng):
     )
     grads, _ = _reference_backward(agent.actor, actor_cache, action_grad)
     _reference_adam(agent.actor_opt, agent.actor.flat, -grads)
-
-    if agent.hyper.discount == 0.0:
-        return
-    tau = agent.hyper.soft_update_tau
-    for target, main in ((agent.target_actor, agent.actor), (agent.target_critic, agent.critic)):
-        target.flat *= 1.0 - tau
-        target.flat += tau * main.flat
 
 
 def _filled_agent(state_dim, action_dim, hyper, seed=0, transitions=128):
@@ -423,7 +390,7 @@ def _filled_agent(state_dim, action_dim, hyper, seed=0, transitions=128):
 
 
 class TestUpdateMatchesReference:
-    @pytest.mark.parametrize("discount", [0.99, 0.0])
+    @pytest.mark.parametrize("discount", [0.0])  # the one discount the agent accepts
     def test_bitwise_equal_over_20_updates(self, discount):
         hyper = small_hyper(hidden_dims=(32, 32), batch_size=16, discount=discount)
         agent = _filled_agent(40, 6, hyper)
@@ -432,7 +399,7 @@ class TestUpdateMatchesReference:
         for _ in range(20):
             agent.train_step(rng)
             _reference_train_step(ref, ref_rng)
-        for name in ("actor", "critic", "target_actor", "target_critic"):
+        for name in ("actor", "critic"):
             assert np.array_equal(getattr(agent, name).flat, getattr(ref, name).flat), name
         for name in ("actor_opt", "critic_opt"):
             opt, ref_opt = getattr(agent, name), getattr(ref, name)
@@ -444,17 +411,24 @@ class TestUpdateMatchesReference:
         # parameters per net).  With parameter-sized temporaries this update
         # peaked at 3.7 MiB; with the agent's shared buffers, at 1.5 MiB in
         # float64 and 0.7 MiB in float32, so a float64 leak fails the bound.
-        # Discount 0.99 runs the target forwards and the soft update too.
-        hyper = DdpgHyperparams(
-            hidden_dims=(128, 128), batch_size=64, buffer_capacity=256, discount=0.99
-        )
+        # The update traced is the 16th, whose Adam steps end in a flush of
+        # subnormal first moments.  A bias of -1000 kills the actor's first
+        # hidden unit, so that bias gets no gradient, and a subnormal moment
+        # planted on it gives the flush work to do.
+        hyper = DdpgHyperparams(hidden_dims=(128, 128), batch_size=64, buffer_capacity=256)
         agent = _filled_agent(385, 32, hyper)
+        agent.actor.biases[0][0] = -1000.0
+        i = agent.actor.weights[0].size  # that bias's index in the flat vector
         rng = np.random.default_rng(0)
-        agent.train_step(rng)
+        for _ in range(15):
+            agent.train_step(rng)
+        opt = agent.actor_opt
+        opt.m[i] = np.finfo(NET_DTYPE).tiny / 2
         tracemalloc.start()
         try:
             agent.train_step(rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert opt.t == 16 and opt.m[i] == 0.0
         assert peak < 1.0 * 2**20

@@ -151,6 +151,24 @@ class TestLoadSaveSpec:
         with pytest.raises(SpecError, match=f"^ddpg: {field} "):
             load_spec(p)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("discount: 0.9", "ddpg: discount must be 0.0, got 0.9"),
+            ("soft_update_tau: 0.01", "ddpg.soft_update_tau: unknown field"),
+        ],
+    )
+    def test_bootstrapped_return_settings_are_spec_errors(self, tmp_path, line, message):
+        # the discount > 0 path went with its target networks and soft updates
+        p = tmp_path / "spec.yaml"
+        p.write_text(f"ddpg:\n  {line}\n")
+        with pytest.raises(SpecError) as exc:
+            load_spec(p)
+        assert str(exc.value).startswith(message)
+        result = CliRunner().invoke(main, ["validate-config", "--config", str(p)])
+        assert result.exit_code == 1
+        assert f"spec error: {message}" in result.output
+
     def test_batch_larger_than_buffer_is_spec_error(self, tmp_path):
         # a ring smaller than one batch never fills a batch: no update ever runs
         p = tmp_path / "spec.yaml"

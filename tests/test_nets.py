@@ -11,7 +11,6 @@ from uavris.nets import (
     mlp_forward,
     mlp_forward_cached,
     mlp_gradients,
-    soft_update,
 )
 
 
@@ -167,7 +166,7 @@ class TestBuffers:
         with pytest.raises(ValueError):
             mlp_gradients(net, cache, np.ones(2), wrt="weights")
 
-    def test_adam_and_soft_update_with_scratch_match_fresh(self):
+    def test_adam_with_scratch_matches_unfused(self):
         rng = np.random.default_rng(11)
         for dtype in (np.float32, np.float64):
             params = rng.standard_normal(50).astype(dtype)
@@ -182,14 +181,6 @@ class TestBuffers:
             assert opt.t == ref.t == 5
             for got, want in ((params, ref_params), (opt.m, ref.m), (opt.v, ref.v)):
                 assert got.dtype == dtype and got.tobytes() == want.tobytes()
-
-        work = np.empty(64)
-        main = Mlp.create([3, 4, 2], rng)
-        t1 = Mlp.create([3, 4, 2], rng)
-        t2 = t1.copy()
-        soft_update(t1, main, 0.3)
-        soft_update(t2, main, 0.3, work)
-        assert np.array_equal(t1.flat, t2.flat)
 
 
 class TestPrecision:
@@ -277,35 +268,38 @@ class TestAdam:
         with pytest.raises(ValueError):
             opt.step(np.zeros(3), np.ones(3))
 
+    def test_flush_skips_parameters_its_moments_can_move(self):
+        # float32 first moments below tiny, with v = 0 so that their steps
+        # are as large as they get.  At 1.0 and -1.0 no such step changes
+        # the parameter, so the 16th step flushes the moment.  At 0.0 and
+        # 1e-30 the steps do change it, so the moment stays and the
+        # parameters match an Adam that never flushes.
+        tiny = float(np.finfo(np.float32).tiny)
+        params = np.array([1.0, 0.0, 1e-30, -1.0, 0.5], dtype=np.float32)
+        ref_params = params.copy()
+        opt, ref = Adam(lr=1e-3), Adam(lr=1e-3)
+        zeros = np.zeros_like(params)
 
-class TestSoftUpdate:
-    def test_blend(self):
-        rng = np.random.default_rng(7)
-        main = Mlp.create([2, 3], rng)
-        target = Mlp.create([2, 3], rng)
-        before = target.flat.copy()
-        soft_update(target, main, 0.25)
-        np.testing.assert_allclose(target.flat, 0.75 * before + 0.25 * main.flat)
+        def step():
+            opt.step(params, zeros.copy())
+            _unfused_adam(ref, ref_params, zeros)
 
-    def test_tau_one_copies(self):
-        rng = np.random.default_rng(8)
-        main = Mlp.create([2, 3], rng)
-        target = Mlp.create([2, 3], rng)
-        soft_update(target, main, 1.0)
-        np.testing.assert_array_equal(target.flat, main.flat)
-        # views must still alias the flat vector after the in-place update
-        np.testing.assert_array_equal(target.weights[0], main.weights[0])
-
-    def test_structure_mismatch(self):
-        rng = np.random.default_rng(9)
-        with pytest.raises(ValueError):
-            soft_update(Mlp.create([2, 3], rng), Mlp.create([3, 2], rng), 0.5)
-
-    def test_bad_tau(self):
-        rng = np.random.default_rng(9)
-        net = Mlp.create([2, 2], rng)
-        with pytest.raises(ValueError):
-            soft_update(net.copy(), net, 0.0)
+        for _ in range(14):
+            step()
+        planted = np.array([tiny / 2, tiny / 2, -tiny / 4, -tiny / 8, 1e-12], dtype=np.float32)
+        opt.m[:], ref.m = planted, planted.copy()
+        step()
+        assert opt.t == 15 and np.all(opt.m != 0.0)  # no flush before the 16th step
+        step()
+        assert (opt.m == 0.0).tolist() == [True, False, False, True, False]
+        for _ in range(40):  # through the flushes at steps 32 and 48
+            step()
+        assert params.tobytes() == ref_params.tobytes()
+        assert params[0] == 1.0 and params[3] == -1.0
+        assert params[1] != 0.0 and params[2] != np.float32(1e-30)
+        kept = opt.m != 0.0
+        assert kept.tolist() == [False, True, True, False, True]
+        assert opt.m[kept].tobytes() == ref.m[kept].tobytes()
 
 
 class TestCreate:
