@@ -44,7 +44,9 @@ class DdpgHyperparams:
     buffer keeps the critic tracking the current channel realization
     instead of an average over stale ones.  ``discount`` accepts only 0,
     so the agent needs no target networks or soft updates: discount 0
-    trained at least as well as 0.9 in every variant."""
+    trained at least as well as 0.9 in every variant.  ``batch_size``
+    may not exceed ``buffer_capacity``: a buffer that never holds a
+    batch would never let the agent update."""
 
     hidden_dims: tuple[int, ...] = (128, 128)
     actor_lr: float = 3e-4
@@ -70,6 +72,10 @@ class DdpgHyperparams:
         for name in ("batch_size", "buffer_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.batch_size > self.buffer_capacity:
+            raise ValueError(
+                f"batch_size {self.batch_size} exceeds buffer_capacity {self.buffer_capacity}"
+            )
         if not 0.0 <= self.noise_std < math.inf:
             raise ValueError("noise_std must be >= 0 and finite")
         if not 0.0 < self.noise_decay <= 1.0:

@@ -84,9 +84,6 @@ class ExperimentSpec:
         for name in ("iterations", "rolling_window"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name}: must be >= 1")
-        # checked here, not in DdpgHyperparams, whose ring a short run shrinks below a batch
-        if self.ddpg.batch_size > self.ddpg.buffer_capacity:
-            raise SpecError("ddpg.batch_size exceeds ddpg.buffer_capacity: no update would run")
 
 
 def _check_p_max_dbm(p: float, where: str) -> None:
@@ -118,7 +115,7 @@ _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 def _typed(hint, value, where: str):
     """``value`` checked against the field type ``hint``: a dataclass is a
-    section, a tuple is a list, ``X | None`` is null or an ``X``."""
+    section, a tuple is a list."""
     if dataclasses.is_dataclass(hint):
         return _parse_section(hint, value, where)
     args = typing.get_args(hint)
@@ -129,8 +126,6 @@ def _typed(hint, value, where: str):
         if len(value) != len(hints):
             raise SpecError(f"{where}: expected {len(hints)} entries, got {value!r}")
         return tuple(_typed(h, v, where) for v, h in zip(value, hints))
-    if args:  # X | None
-        return None if value is None else _typed(args[0], value, where)
     if type(value) not in _SCALARS[hint]:
         raise SpecError(f"{where}: expected {hint.__name__}, got {value!r}")
     return value

@@ -107,13 +107,6 @@ class Mlp:
             w[:] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
         return net
 
-    def copy(self) -> "Mlp":
-        return Mlp(
-            flat=self.flat.copy(),
-            layer_dims=list(self.layer_dims),
-            output_activation=self.output_activation,
-        )
-
 
 def _as_batch(x: np.ndarray, net: Mlp) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=net.flat.dtype)
@@ -232,15 +225,19 @@ class Adam:
     is 2**(nmant + 4) * S, so S is below a quarter of the float spacing
     at the parameter and p - step rounds back to p: the steps the flush
     skips change no bit.  A smaller parameter, 0 included, keeps its
-    moment, which may still move it."""
+    moment, which may still move it.
+
+    The step count ``t`` and the moments ``m`` and ``v`` are state, not
+    settings: the constructor takes only the four hyperparameters, and
+    the moments are allocated with the scratch on the first step."""
 
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    t: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    t: int = field(init=False, default=0)
+    m: np.ndarray | None = field(init=False, default=None)
+    v: np.ndarray | None = field(init=False, default=None)
     _work: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:

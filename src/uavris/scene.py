@@ -9,7 +9,7 @@ and azimuth is atan2(y, x) folded into [0, pi] by absolute value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,8 +31,11 @@ class SystemConfig:
     """All scenario parameters: geometry, array sizes, carrier, Rician
     factors, noise and power budget.
 
-    Rician factors and powers are linear (watts), not dB/dBm.  Element
-    spacings default to half a wavelength when left as None.
+    Rician factors and powers are linear (watts), not dB/dBm.  Elements
+    are spaced half a wavelength, and every hop has free-space path loss.
+    A Rician factor K is a per-entry LoS-to-NLoS power ratio of K / (N N_B)
+    on BS->RIS and K / N on RIS->UAV (``uavris.channel``): 11.9 dB and
+    18.0 dB at the default 30 dB.
     """
 
     bs_position: tuple[float, float, float] = (0.0, 0.0, 2.0)
@@ -53,10 +56,6 @@ class SystemConfig:
     downtilt: float = 0.0
     noise_power: float = 1e-13  # -100 dBm
     p_max: float = 10 ** ((35.0 - 30.0) / 10.0)  # 35 dBm
-    element_spacing_x: float | None = None
-    element_spacing_y: float | None = None
-    element_spacing_z: float | None = None
-    pathloss_enabled: bool = True
     # aggregate BS/RIS/UAV antenna and element gains folded into the
     # large-scale budget (power dB, split evenly over the two hops);
     # calibrated so the 45 dBm best min-SINR sits in the 10-16 dB range
@@ -100,15 +99,10 @@ class SystemConfig:
 
     @property
     def d_x(self) -> float:
-        return self.element_spacing_x if self.element_spacing_x is not None else self.wavelength / 2
+        """Element spacing of every array axis (d_x, d_y, d_z): half a wavelength."""
+        return self.wavelength / 2
 
-    @property
-    def d_y(self) -> float:
-        return self.element_spacing_y if self.element_spacing_y is not None else self.wavelength / 2
-
-    @property
-    def d_z(self) -> float:
-        return self.element_spacing_z if self.element_spacing_z is not None else self.wavelength / 2
+    d_y = d_z = d_x
 
     def with_p_max(self, p_max: float) -> "SystemConfig":
         return replace(self, p_max=p_max)
@@ -146,7 +140,7 @@ class GeometrySet:
     """
 
     bs_ris: tuple[LinkGeometry, ...]
-    ris_uav: tuple[tuple[LinkGeometry, ...], ...] = field(default=())
+    ris_uav: tuple[tuple[LinkGeometry, ...], ...]
 
 
 def link_geometry(source, target) -> LinkGeometry:

@@ -154,10 +154,12 @@ def run_training(
     selects an action, decodes and evaluates it and records the outcome.
     A DDPG variant acts at random during the warmup and by its noisy
     policy afterwards, stores each transition and performs one critic +
-    actor update once the warmup is over.  The random search draws
-    uniform phases and a Gaussian precoder for the JOINT_DRL decoder,
-    and ignores ``objective`` and ``hyper``: it has no learner and keeps
-    the best min-SINR draw.
+    actor update once the warmup is over and the buffer holds a batch.
+    Its ring holds max(batch_size, min(buffer_capacity, total_steps))
+    transitions and runs as a ``buffer_capacity`` ring would.  The random
+    search draws uniform phases and a Gaussian precoder for the JOINT_DRL
+    decoder, and ignores ``objective`` and ``hyper``: it has no learner
+    and keeps the best min-SINR draw.
 
     The run holds numpy's BLAS to one thread and afterwards restores the
     caller's setting, also when it raises: a multithreaded BLAS blocks a
@@ -181,7 +183,7 @@ def run_training(
     if learner:
         # a run never holds more transitions than it takes steps, so a larger
         # ring would never wrap either: the run is the same, in less memory
-        capacity = max(1, min(hyper.buffer_capacity, total_steps))
+        capacity = max(hyper.batch_size, min(hyper.buffer_capacity, total_steps))
         hyper = replace(hyper, buffer_capacity=capacity)
         agent = DdpgAgent.create(env.state_dim, env.action_dim, hyper, rng)
         noise_std = hyper.noise_std

@@ -285,6 +285,12 @@ class TestHyperparams:
             DdpgHyperparams(discount=0.9)
         assert not hasattr(DdpgHyperparams(), "soft_update_tau")
 
+    def test_batch_above_buffer_rejected(self):
+        # a buffer that never holds a batch would never let the agent update
+        with pytest.raises(ValueError, match="batch_size 64 exceeds buffer_capacity 32"):
+            DdpgHyperparams(batch_size=64, buffer_capacity=32)
+        assert DdpgHyperparams(batch_size=32, buffer_capacity=32).buffer_capacity == 32
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -319,7 +325,8 @@ class TestHyperparams:
         ],
     )
     def test_boundary_values_accepted(self, field, value):
-        assert getattr(DdpgHyperparams(**{field: value}), field) == value
+        # a batch of 1 fits the smallest buffer
+        assert getattr(DdpgHyperparams(**{"batch_size": 1, field: value}), field) == value
 
 
 def _reference_backward(net, cache, g, input_columns=slice(None)):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uavris import channel
 from uavris.channel import (
     PhaseConfig,
     assemble_channels,
@@ -120,9 +121,6 @@ class TestDrawNlos:
 
 
 class TestPathloss:
-    def test_disabled(self):
-        assert pathloss_amplitude(123.0, 0.01, enabled=False) == 1.0
-
     def test_fixed_point(self):
         lam = 0.02
         assert pathloss_amplitude(lam / (4 * np.pi), lam) == pytest.approx(1.0)
@@ -140,12 +138,33 @@ class TestAssembleChannels:
         assert channels.h_stacked.shape == (2, 32)
 
     def test_pure_los_unit_gain_block_moduli(self):
-        cfg = default_config(
-            rician_bs_ris=1e15, rician_ris_uav=1e15, pathloss_enabled=False
-        )
+        cfg = default_config(rician_bs_ris=1e15, rician_ris_uav=1e15)
         ch = assemble_channels(cfg, build_geometry(cfg), np.random.default_rng(0))
-        np.testing.assert_allclose(np.abs(ch.g_stacked), 1 / np.sqrt(16 * 4), rtol=1e-6)
-        np.testing.assert_allclose(np.abs(ch.h_stacked), 1 / np.sqrt(16), rtol=1e-6)
+        # each RIS's 16 rows of G, and its 16 columns of each row of H, share one amplitude
+        g = ch.g_stacked / np.repeat(ch.pathloss_bs_ris, 16)[:, np.newaxis]
+        h = ch.h_stacked / np.repeat(ch.pathloss_ris_uav.T, 16, axis=1)
+        np.testing.assert_allclose(np.abs(g), 1 / np.sqrt(16 * 4), rtol=1e-6)
+        np.testing.assert_allclose(np.abs(h), 1 / np.sqrt(16), rtol=1e-6)
+
+    def test_effective_rician_factors(self, config, geometry, monkeypatch):
+        # With NLoS draws of 0 the channel is its LoS part; with draws of 1,
+        # minus that, one NLoS entry's amplitude (draw_nlos is CN(0, 1)).
+        # K = 30 dB weighs a unit-norm block against one entry, so the
+        # per-entry LoS-to-NLoS power ratio is K / (N N_B) = 11.9 dB on
+        # BS->RIS and K / N = 18.0 dB on RIS->UAV.
+        def parts(fill):
+            monkeypatch.setattr(channel, "draw_nlos", lambda rng, r, c: np.full((r, c), fill))
+            return assemble_channels(config, geometry, np.random.default_rng(0))
+
+        los, ones = parts(0.0), parts(1.0)
+        for name, k, n_entries, db in (
+            ("g_stacked", config.rician_bs_ris, 16 * 4, 11.9),
+            ("h_stacked", config.rician_ris_uav, 16, 18.0),
+        ):
+            los_power = np.abs(getattr(los, name)) ** 2
+            nlos_power = np.abs(getattr(ones, name) - getattr(los, name)) ** 2
+            np.testing.assert_allclose(los_power / nlos_power, k / n_entries, rtol=1e-9)
+            assert 10 * np.log10(k / n_entries) == pytest.approx(db, abs=0.05)
 
     def test_seed_determinism(self, config, geometry):
         a = assemble_channels(config, geometry, np.random.default_rng(42))

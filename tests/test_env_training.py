@@ -437,8 +437,18 @@ class TestRunTraining:
         assert len(calls) == 3
 
 
-    @pytest.mark.parametrize("capacity,expected", [(100_000, 30), (12, 12)])
-    def test_replay_buffer_sized_to_the_run(self, config, monkeypatch, capacity, expected):
+    # warmup 4, batch 8: a 30-step run updates at steps 7-29, a 5-step run never
+    @pytest.mark.parametrize(
+        "steps,capacity,expected,updates",
+        [
+            pytest.param(30, 100_000, 30, 23, id="100000-30"),
+            pytest.param(30, 12, 12, 23, id="12-12"),
+            pytest.param(5, 100_000, 8, 0, id="run-shorter-than-a-batch"),
+        ],
+    )
+    def test_replay_buffer_sized_to_the_run(
+        self, config, monkeypatch, steps, capacity, expected, updates
+    ):
         agents = []
         create = DdpgAgent.create.__func__
 
@@ -448,9 +458,10 @@ class TestRunTraining:
 
         monkeypatch.setattr(training.DdpgAgent, "create", classmethod(recording))
         run_training(
-            config, Variant.IC, total_steps=30, hyper=fast_hyper(buffer_capacity=capacity)
+            config, Variant.IC, total_steps=steps, hyper=fast_hyper(buffer_capacity=capacity)
         )
         assert agents[0].buffer.capacity == expected
+        assert agents[0].critic_opt.t == updates
 
 
 class TestDefaultHyperparams:

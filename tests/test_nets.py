@@ -72,12 +72,6 @@ class TestForward:
         with pytest.raises(ValueError):
             mlp_forward(net, np.zeros(3))
 
-    def test_copy_is_independent(self):
-        net = Mlp.create([2, 3, 1], np.random.default_rng(0))
-        dup = net.copy()
-        dup.flat += 1.0
-        assert not np.allclose(net.flat, dup.flat)
-
 
 class TestGradients:
     def _check(self, net, x, loss_fn, upstream_fn, rtol=1e-6):
@@ -261,6 +255,15 @@ class TestAdam:
         for _ in range(2000):
             opt.step(p, 2 * (p - target))
         np.testing.assert_allclose(p, target, atol=1e-4)
+
+    def test_state_is_not_a_constructor_argument(self):
+        # moments passed in would skip the first step's scratch allocation
+        with pytest.raises(TypeError):
+            Adam(lr=0.1, m=np.zeros(2), v=np.zeros(2))
+        with pytest.raises(TypeError):
+            Adam(lr=0.1, t=3)
+        opt = Adam(0.1, 0.8, 0.99, 1e-6)
+        assert (opt.t, opt.m, opt.v) == (0, None, None)
 
     def test_size_change_rejected(self):
         opt = Adam(lr=0.1)
