@@ -15,8 +15,11 @@ d(-mean Q), so Adam's descent ascends the critic's value.
 
 The replay buffer stores the entries of a state but the last once for
 all the consecutive transitions that repeat them: the environment's
-channel features once per episode (``ReplayBuffer``).  Next states are
-not stored: a single-step return never reads them.
+channel features once per episode (``ReplayBuffer``).  A sampled batch
+keeps that form, its distinct contexts and each row's, and both networks
+take it as a factored batch (``nets``): their first layers run once per
+context.  Next states are not stored: a single-step return never reads
+them.
 """
 
 from __future__ import annotations
@@ -100,10 +103,11 @@ class ReplayBuffer:
     The environment's state is the channel features of the current
     realization plus the previous min-SINR, so a 200-step episode takes
     one row: 2,000 transitions of the default scene (state 385, action 80)
-    hold about 0.7 MB instead of 6.8 MB.  The table never holds more rows
-    than the ring holds transitions, so when every state is distinct it
-    is no larger than a dense state array.  ``states`` rebuilds the dense
-    array, zeros past ``size``.
+    hold about 0.7 MB instead of 6.8 MB, and a batch of 64 holds at most
+    11 contexts.  The table never holds more rows than the ring holds
+    transitions, so when every state is distinct it is no larger than a
+    dense state array.  ``states`` rebuilds the dense array, zeros past
+    ``size``.
     """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
@@ -123,9 +127,7 @@ class ReplayBuffer:
         # k.  Each push makes at most one, so allocation k + capacity,
         # which overwrites k's row, comes at push p + capacity or later,
         # and push p + capacity drops transition p from the ring.
-        # Each row is a state with its last entry left at 0, so one gather
-        # and one column write rebuild a batch.
-        self._contexts = np.zeros((min(4, capacity), state_dim), dtype=NET_DTYPE)
+        self._contexts = np.zeros((min(4, capacity), state_dim - 1), dtype=NET_DTYPE)
         self._row = -1  # the latest allocated row
         self._key = self._dtype = None  # bytes and dtype of its context as pushed
         self.size = 0
@@ -149,36 +151,35 @@ class ReplayBuffer:
         growing the table by doubling up to ``capacity`` rows."""
         row = (self._row + 1) % self.capacity
         if row == len(self._contexts):
-            grown = np.zeros((min(2 * row, self.capacity), state.size), dtype=NET_DTYPE)
+            grown = np.zeros((min(2 * row, self.capacity), state.size - 1), dtype=NET_DTYPE)
             grown[:row] = self._contexts
             self._contexts = grown
-        self._contexts[row, :-1] = state[:-1]
+        self._contexts[row] = state[:-1]
         self._row, self._key, self._dtype = row, key, state.dtype
-
-    def _rebuild(self, rows: np.ndarray, lasts: np.ndarray) -> np.ndarray:
-        out = self._contexts[rows]
-        out[:, -1] = lasts
-        return out
 
     @property
     def states(self) -> np.ndarray:
         """The stored states as a dense (capacity, state_dim) copy."""
         n = self.size
-        out = np.zeros((self.capacity, self._contexts.shape[1]), dtype=NET_DTYPE)
-        out[:n] = self._rebuild(self._state_rows[:n], self._state_lasts[:n])
+        out = np.zeros((self.capacity, self._contexts.shape[1] + 1), dtype=NET_DTYPE)
+        out[:n, :-1] = self._contexts[self._state_rows[:n]]
+        out[:n, -1] = self._state_lasts[:n]
         return out
 
     def sample(self, rng: np.random.Generator, batch_size: int):
-        """Uniform sample with replacement of (states, actions, rewards);
-        errors on an underfilled buffer."""
+        """Uniform sample with replacement of ((contexts, index, lasts),
+        actions, rewards); errors on an underfilled buffer.  State i of
+        the batch is ``contexts[index[i]]`` followed by ``lasts[i]``; the
+        contexts are the batch's distinct rows, in order of first
+        appearance."""
         if self.size < batch_size:
             raise ValueError(f"buffer holds {self.size} < batch_size {batch_size}")
         idx = rng.integers(0, self.size, size=batch_size)
-        return (
-            self._rebuild(self._state_rows[idx], self._state_lasts[idx]),
-            self.actions[idx],
-            self.rewards[idx],
-        )
+        first = {}
+        index = [first.setdefault(row, len(first)) for row in self._state_rows.take(idx).tolist()]
+        contexts = self._contexts.take(list(first), axis=0)
+        states = (contexts, np.fromiter(index, np.intp, batch_size), self._state_lasts.take(idx))
+        return states, self.actions.take(idx, axis=0), self.rewards.take(idx)
 
 
 @dataclass
@@ -226,10 +227,10 @@ class DdpgAgent:
     def critic_train_step(self, batch) -> float:
         """One Adam step on the mean-squared error of Q against the reward,
         the single-step return; returns the pre-step loss."""
-        states, actions, rewards = batch
-        n = states.shape[0]
-        sa = np.concatenate([states, actions], axis=1)
-        q, cache = mlp_forward_cached(self.critic, sa)
+        (contexts, index, lasts), actions, rewards = batch
+        n = len(index)
+        tail = np.concatenate([lasts[:, np.newaxis], actions], axis=1)
+        q, cache = mlp_forward_cached(self.critic, (contexts, index, tail))
         err = q[:, 0] - rewards
         loss = float(np.mean(err**2))
         self._update(self.critic, self.critic_opt, cache, (2.0 / n) * err[:, np.newaxis])
@@ -238,18 +239,19 @@ class DdpgAgent:
     def actor_train_step(self, batch) -> float:
         """Ascend the mean critic value of on-policy actions; returns the
         pre-step mean Q."""
-        states = batch[0]
-        n = states.shape[0]
-        actions, actor_cache = mlp_forward_cached(self.actor, states)
-        sa = np.concatenate([states, actions], axis=1)
-        q, critic_cache = mlp_forward_cached(self.critic, sa)
+        contexts, index, lasts = batch[0]
+        n = len(index)
+        lasts = lasts[:, np.newaxis]
+        actions, actor_cache = mlp_forward_cached(self.actor, (contexts, index, lasts))
+        tail = np.concatenate([lasts, actions], axis=1)
+        q, critic_cache = mlp_forward_cached(self.critic, (contexts, index, tail))
         objective = float(np.mean(q))
 
         # d(-mean Q)/d action, chained through the actor
         upstream = np.full((n, 1), -1.0 / n, dtype=NET_DTYPE)
         _, _, action_grad = mlp_gradients(
             self.critic, critic_cache, upstream, wrt="input",
-            input_columns=slice(states.shape[1], None),
+            input_columns=slice(contexts.shape[1] + 1, None),
         )
         self._update(self.actor, self.actor_opt, actor_cache, action_grad)
         return objective

@@ -1,6 +1,14 @@
 """Small fully-connected networks with hand-coded reverse-mode gradients,
-plus an Adam optimizer, in numpy.  Inputs may be a single vector or a
-(batch, features) array.
+plus an Adam optimizer, in numpy.  Inputs may be a single vector, a
+(batch, features) array or a factored batch.
+
+A factored batch is a tuple ``(contexts, index, tail)`` standing for the
+array whose row i is ``contexts[index[i]]`` followed by ``tail[i]``.  The
+first layer's product then runs over the k contexts, not the n rows, and
+is gathered per row before the tail's product is added; its weight
+gradient sums the upstream rows per context (a one-hot product) before
+multiplying by the contexts.  ``DdpgAgent`` trains on replay batches in
+this form: a batch of 64 states holds a few episodes' channel features.
 
 All parameters of a network live in one flat vector; the per-layer
 weight/bias arrays are views into it, so an optimizer step is a few
@@ -108,25 +116,54 @@ class Mlp:
         return net
 
 
-def _as_batch(x: np.ndarray, net: Mlp) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=net.flat.dtype)
-    dim = net.layer_dims[0]
-    single = x.ndim == 1
-    if single:
-        x = x[np.newaxis, :]
-    if x.shape[1] != dim:
-        raise ValueError(f"input feature size {x.shape[1]} != expected {dim}")
+def _as_batch(x, net: Mlp):
+    dtype, single = net.flat.dtype, False
+    if isinstance(x, tuple):
+        x = (np.asarray(x[0], dtype=dtype), x[1], np.asarray(x[2], dtype=dtype))
+        width = x[0].shape[1] + x[2].shape[1]
+    else:
+        x = np.asarray(x, dtype=dtype)
+        if x.ndim == 1:
+            x, single = x[np.newaxis, :], True
+        width = x.shape[1]
+    if width != net.layer_dims[0]:
+        raise ValueError(f"input feature size {width} != expected {net.layer_dims[0]}")
     return x, single
 
 
-def mlp_forward_cached(net: Mlp, x: np.ndarray):
+def _input_product(x, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T``.  For a factored batch, the contexts' product gathered
+    per row plus the tail's."""
+    if not isinstance(x, tuple):
+        return x @ w.T
+    contexts, index, tail = x
+    c = contexts.shape[1]
+    z = (contexts @ w[:, :c].T).take(index, axis=0)
+    z += _backprop(tail, w[:, c:].T)
+    return z
+
+
+def _weight_gradient(g: np.ndarray, x, out: np.ndarray) -> None:
+    """``out[:] = g.T @ x``.  For a factored batch, the rows of ``g`` are
+    summed per context (a one-hot product) before the contexts' product."""
+    if not isinstance(x, tuple):
+        np.matmul(g.T, x, out=out)
+        return
+    contexts, index, tail = x
+    c = contexts.shape[1]
+    onehot = np.eye(len(contexts), dtype=g.dtype).take(index, axis=1)
+    np.matmul((onehot @ g).T, contexts, out=out[:, :c])
+    np.matmul(g.T, tail, out=out[:, c:])
+
+
+def mlp_forward_cached(net: Mlp, x):
     """Forward pass returning (output, cache) for use by mlp_gradients."""
     h, single = _as_batch(x, net)
     pre_acts = []
     activations = [h]
     n_layers = len(net.weights)
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T
+        z = _input_product(h, w)
         z += b
         pre_acts.append(z)
         if l < n_layers - 1:
@@ -145,9 +182,9 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def _backprop(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``g @ w``.  A layer with one output makes it an outer product,
-    which a broadcast multiply computes with the same bits as the
-    matmul and without its BLAS call."""
+    """``g @ w``.  With one column in ``g`` (a layer with one output, or
+    the actor's one-entry tail) it is an outer product, which a broadcast
+    multiply computes with the matmul's bits and without its BLAS call."""
     return g * w if g.shape[1] == 1 else g @ w
 
 
@@ -191,7 +228,7 @@ def mlp_gradients(
         else:
             g = g * (pre_acts[l] > 0.0)
         if w_grads is not None:
-            np.matmul(g.T, activations[l], out=w_grads[l])
+            _weight_gradient(g, activations[l], w_grads[l])
             np.sum(g, axis=0, out=b_grads[l])
         if l > 0:
             g = _backprop(g, net.weights[l])

@@ -6,7 +6,7 @@ import pytest
 
 from uavris.agent import NET_DTYPE, DdpgAgent, DdpgHyperparams, ReplayBuffer
 from uavris.env import Variant
-from uavris.nets import mlp_forward_cached
+from uavris.nets import flatten_gradients, mlp_forward_cached, mlp_gradients
 from uavris.training import STEPS_PER_EPISODE, run_training
 
 
@@ -27,8 +27,16 @@ class TestReplayBuffer:
         rng = np.random.default_rng(0)
         for i in range(5):
             buf.push(np.full(3, i), np.full(2, -i), float(i), np.full(3, i + 1))
-        s, a, r = buf.sample(rng, 4)
-        assert s.shape == (4, 3) and a.shape == (4, 2) and r.shape == (4,)
+        (contexts, index, lasts), a, r = buf.sample(rng, 4)
+        assert index.shape == lasts.shape == r.shape == (4,) and a.shape == (4, 2)
+        # a batch of 10 from 10 states repeats some: one context per
+        # distinct state, in order of first appearance
+        for i in range(5, 10):
+            buf.push(np.full(3, i), np.full(2, -i), float(i), np.full(3, i + 1))
+        (contexts, index, lasts), _, _ = buf.sample(rng, 10)
+        assert contexts.shape == (len(set(lasts.tolist())), 2)
+        assert list(dict.fromkeys(index.tolist())) == list(range(len(contexts)))
+        np.testing.assert_array_equal(_dense_states(contexts, index, lasts)[:, 0], lasts)
 
     def test_ring_overwrite(self):
         buf = ReplayBuffer(capacity=3, state_dim=1, action_dim=1)
@@ -52,9 +60,22 @@ class TestReplayBuffer:
         assert buf.rewards[0] == -3.0
 
 
+def _dense_states(contexts, index, lasts):
+    """The (n, state_dim) array a sampled batch of states stands for."""
+    return np.concatenate([contexts[index], lasts[:, np.newaxis]], axis=1)
+
+
+def _each_row_its_context(states):
+    """A dense batch of states as a sampled one, every row its own context."""
+    states = np.asarray(states)
+    return states[:, :-1], np.arange(len(states)), states[:, -1]
+
+
 class _DenseReplayBuffer:
     """The replay buffer with a dense float32 state array, the reference
-    the context-sharing buffer must match bit for bit."""
+    the context-sharing buffer must match bit for bit.  A sample groups
+    its states by the bytes of their contexts, in order of first
+    appearance."""
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity < 1:
@@ -78,7 +99,12 @@ class _DenseReplayBuffer:
         if self.size < batch_size:
             raise ValueError(f"buffer holds {self.size} < batch_size {batch_size}")
         idx = rng.integers(0, self.size, size=batch_size)
-        return self.states[idx], self.actions[idx], self.rewards[idx]
+        states = self.states[idx]
+        keys = [state[:-1].tobytes() for state in states]
+        distinct = list(dict.fromkeys(keys))
+        contexts = states[[keys.index(key) for key in distinct], :-1]
+        index = np.array([distinct.index(key) for key in keys])
+        return (contexts, index, states[:, -1]), self.actions[idx], self.rewards[idx]
 
 
 def _nan(payload: int, sign: int = 0) -> float:
@@ -143,12 +169,17 @@ class TestReplayBufferMatchesDense:
             assert buf.size == ref.size
             for name in ("states", "actions", "rewards"):
                 _assert_same_bits(getattr(buf, name), getattr(ref, name))
+            # the ring keeps two rows for equal contexts pushed apart, which
+            # the dense double groups as one, so the batches are compared
+            # as the dense arrays they stand for
             batch_size = min(buf.size, 4)
-            for got, want in zip(
-                buf.sample(np.random.default_rng(t), batch_size),
-                ref.sample(np.random.default_rng(t), batch_size),
+            got, want = (
+                b.sample(np.random.default_rng(t), batch_size) for b in (buf, ref)
+            )
+            for got_part, want_part in zip(
+                (_dense_states(*got[0]), *got[1:]), (_dense_states(*want[0]), *want[1:])
             ):
-                _assert_same_bits(got, want)
+                _assert_same_bits(got_part, want_part)
 
     def test_env_like_episodes_hold_under_a_megabyte(self):
         # 10 episodes of the default scene's 385-entry state (384 channel
@@ -220,7 +251,7 @@ class TestDdpgAgent:
         rng = np.random.default_rng(2)
         agent = DdpgAgent.create(3, 2, small_hyper(), rng)
         batch = (
-            rng.standard_normal((8, 3)),
+            _each_row_its_context(rng.standard_normal((8, 3))),
             rng.standard_normal((8, 2)),
             rng.standard_normal(8),
         )
@@ -232,7 +263,7 @@ class TestDdpgAgent:
     def test_actor_objective_increases_on_fixed_batch(self):
         rng = np.random.default_rng(3)
         agent = DdpgAgent.create(3, 2, small_hyper(), rng)
-        batch = (rng.standard_normal((8, 3)),)
+        batch = (_each_row_its_context(rng.standard_normal((8, 3))),)
         first = agent.actor_train_step(batch)
         for _ in range(200):
             last = agent.actor_train_step(batch)
@@ -242,7 +273,7 @@ class TestDdpgAgent:
         rng = np.random.default_rng(4)
         agent = DdpgAgent.create(3, 2, small_hyper(), rng)
         critic_before = agent.critic.flat.copy()
-        agent.actor_train_step((rng.standard_normal((8, 3)),))
+        agent.actor_train_step((_each_row_its_context(rng.standard_normal((8, 3))),))
         np.testing.assert_array_equal(agent.critic.flat, critic_before)
 
     def test_train_step_runs_end_to_end(self):
@@ -329,9 +360,28 @@ class TestHyperparams:
         assert getattr(DdpgHyperparams(**{"batch_size": 1, field: value}), field) == value
 
 
+def _reference_forward(net, contexts, index, tail):
+    """Forward pass as written out, fresh arrays, on the batch whose row i
+    is ``contexts[index[i]]`` then ``tail[i]``: the first layer's product
+    runs over the contexts, is gathered per row, and the tail's is added."""
+    c = contexts.shape[1]
+    w = net.weights[0]
+    z = (contexts @ w[:, :c].T)[index] + tail @ w[:, c:].T + net.biases[0]
+    pre_acts, activations = [z], [(contexts, index, tail)]
+    for w, b in zip(net.weights[1:], net.biases[1:]):
+        activations.append(np.maximum(z, 0.0))
+        z = activations[-1] @ w.T + b
+        pre_acts.append(z)
+    activations.append(np.tanh(z) if net.output_activation == "tanh" else z)
+    return activations[-1], (pre_acts, activations, False)
+
+
 def _reference_backward(net, cache, g, input_columns=slice(None)):
-    """Backward pass as first written: every product, fresh arrays; the
-    first layer's input product covers ``input_columns`` only."""
+    """Backward pass as written out, fresh arrays, through
+    ``_reference_forward``'s cache: the first layer's weight gradient sums
+    the rows of ``g`` per context, a one-hot product, before the contexts'
+    product, and takes the tail's product per row.  The first layer's
+    input product covers ``input_columns`` only."""
     pre_acts, activations, _ = cache
     parts = []
     for l in range(len(net.weights) - 1, -1, -1):
@@ -340,7 +390,13 @@ def _reference_backward(net, cache, g, input_columns=slice(None)):
                 g = g * (1.0 - activations[l + 1] ** 2)
         else:
             g = g * (pre_acts[l] > 0.0)
-        parts[:0] = [(g.T @ activations[l]).ravel(), g.sum(axis=0)]
+        if l > 0:
+            w_grad = g.T @ activations[l]
+        else:
+            contexts, index, tail = activations[0]
+            onehot = (index == np.arange(len(contexts))[:, np.newaxis]).astype(g.dtype)
+            w_grad = np.concatenate([(onehot @ g).T @ contexts, g.T @ tail], axis=1)
+        parts[:0] = [w_grad.ravel(), g.sum(axis=0)]
         g = g @ (net.weights[l] if l > 0 else net.weights[0][:, input_columns])
     return np.concatenate(parts), g
 
@@ -365,30 +421,42 @@ def _reference_train_step(agent, rng):
     reward as the critic's target, all gradients, flattened copies and
     out-of-place optimizer updates.  The actor step's critic input
     gradient covers the action columns only."""
-    states, actions, rewards = agent.buffer.sample(rng, agent.hyper.batch_size)
-    n = states.shape[0]
+    (contexts, index, lasts), actions, rewards = agent.buffer.sample(rng, agent.hyper.batch_size)
+    n = len(index)
     dtype = agent.critic.flat.dtype
-    q, cache = mlp_forward_cached(agent.critic, np.concatenate([states, actions], 1))
+    lasts = lasts[:, np.newaxis]
+    q, cache = _reference_forward(
+        agent.critic, contexts, index, np.concatenate([lasts, actions], 1)
+    )
     err = q[:, 0] - rewards
     grads, _ = _reference_backward(agent.critic, cache, (2.0 / n) * err[:, np.newaxis])
     _reference_adam(agent.critic_opt, agent.critic.flat, grads)
 
-    actions, actor_cache = mlp_forward_cached(agent.actor, states)
-    _, critic_cache = mlp_forward_cached(agent.critic, np.concatenate([states, actions], 1))
+    actions, actor_cache = _reference_forward(agent.actor, contexts, index, lasts)
+    _, critic_cache = _reference_forward(
+        agent.critic, contexts, index, np.concatenate([lasts, actions], 1)
+    )
     _, action_grad = _reference_backward(
         agent.critic, critic_cache, np.full((n, 1), 1.0 / n, dtype=dtype),
-        input_columns=slice(states.shape[1], None),
+        input_columns=slice(contexts.shape[1] + 1, None),
     )
     grads, _ = _reference_backward(agent.actor, actor_cache, action_grad)
     _reference_adam(agent.actor_opt, agent.actor.flat, -grads)
 
 
-def _filled_agent(state_dim, action_dim, hyper, seed=0, transitions=128):
+def _filled_agent(state_dim, action_dim, hyper, seed=0, transitions=128, episode=1):
+    """An agent whose buffer holds ``transitions`` random ones.  Each
+    ``episode`` consecutive states share their context, as an episode's
+    channel features do, and differ in their last entry."""
     rng = np.random.default_rng(seed)
     agent = DdpgAgent.create(state_dim, action_dim, hyper, rng)
-    for _ in range(transitions):
+    for t in range(transitions):
+        state = rng.standard_normal(state_dim)
+        if t % episode:
+            state[:-1] = context
+        context = state[:-1]
         agent.buffer.push(
-            rng.standard_normal(state_dim),
+            state,
             rng.uniform(-1.0, 1.0, action_dim),
             rng.standard_normal(),
             rng.standard_normal(state_dim),
@@ -399,9 +467,10 @@ def _filled_agent(state_dim, action_dim, hyper, seed=0, transitions=128):
 class TestUpdateMatchesReference:
     @pytest.mark.parametrize("discount", [0.0])  # the one discount the agent accepts
     def test_bitwise_equal_over_20_updates(self, discount):
+        # 8 contexts of 16 states each, so batches repeat contexts
         hyper = small_hyper(hidden_dims=(32, 32), batch_size=16, discount=discount)
-        agent = _filled_agent(40, 6, hyper)
-        ref = _filled_agent(40, 6, hyper)
+        agent = _filled_agent(40, 6, hyper, episode=16)
+        ref = _filled_agent(40, 6, hyper, episode=16)
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(20):
             agent.train_step(rng)
@@ -439,3 +508,36 @@ class TestUpdateMatchesReference:
             tracemalloc.stop()
         assert opt.t == 16 and opt.m[i] == 0.0
         assert peak < 1.0 * 2**20
+
+
+class TestPerContextUpdateMatchesDense:
+    def test_gradients_at_the_default_dims(self):
+        # the default scene's IC nets, and a batch of 64 from 1,300
+        # transitions in 200-step episodes, so 7 contexts at most
+        hyper = DdpgHyperparams(buffer_capacity=1300)
+        agent = _filled_agent(385, 32, hyper, transitions=1300, episode=STEPS_PER_EPISODE)
+        batch = agent.buffer.sample(np.random.default_rng(0), hyper.batch_size)
+        recorded = []
+        for opt in (agent.critic_opt, agent.actor_opt):  # record, take no step
+            opt.step = lambda params, grads: recorded.append(grads.copy())
+        agent.critic_train_step(batch)
+        agent.actor_train_step(batch)
+
+        # the same update on the dense batch
+        states, actions, rewards = _dense_states(*batch[0]), batch[1], batch[2]
+        n = len(states)
+        q, cache = mlp_forward_cached(agent.critic, np.concatenate([states, actions], 1))
+        upstream = (2.0 / n) * (q[:, 0] - rewards)[:, np.newaxis]
+        critic_grads = flatten_gradients(*mlp_gradients(agent.critic, cache, upstream)[:2])
+        actions, actor_cache = mlp_forward_cached(agent.actor, states)
+        _, cache = mlp_forward_cached(agent.critic, np.concatenate([states, actions], 1))
+        _, _, action_grad = mlp_gradients(
+            agent.critic, cache, np.full((n, 1), -1.0 / n, dtype=NET_DTYPE), wrt="input",
+            input_columns=slice(385, None),
+        )
+        actor_grads = flatten_gradients(*mlp_gradients(agent.actor, actor_cache, action_grad)[:2])
+
+        assert len(batch[0][0]) < n
+        for got, want in zip(recorded, (critic_grads, actor_grads)):
+            assert got.dtype == want.dtype == NET_DTYPE
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())

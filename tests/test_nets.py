@@ -35,6 +35,15 @@ def analytic_param_grad(net, x, loss_fn, upstream_fn):
     return flatten_gradients(w_g, b_g)
 
 
+def _factored_batch(rng, context_dim, tail_dim, n, k, dtype):
+    """A batch of ``n`` rows over ``k`` contexts, each used at least once,
+    as (contexts, index, tail) and as the dense array it stands for."""
+    contexts = rng.standard_normal((k, context_dim)).astype(dtype)
+    index = rng.permutation(np.arange(n) % k)
+    tail = rng.uniform(-1.0, 1.0, (n, tail_dim)).astype(dtype)
+    return (contexts, index, tail), np.concatenate([contexts[index], tail], axis=1)
+
+
 class TestForward:
     def test_identity_weights_linear(self):
         rng = np.random.default_rng(0)
@@ -91,6 +100,14 @@ class TestGradients:
         net = Mlp.create([2, 6, 6, 2], rng, output_activation="tanh")
         x = rng.standard_normal(2)
         self._check(net, x, lambda o: np.sum(o**2), lambda o: 2 * o)
+
+    def test_factored_batch(self):
+        # 10 rows over 4 contexts of 6 entries, then 3 per-row entries
+        rng = np.random.default_rng(17)
+        net = Mlp.create([9, 7, 6, 3], rng, output_activation="tanh")
+        factored, _ = _factored_batch(rng, 6, 3, 10, 4, np.float64)
+        w = rng.standard_normal((10, 3))
+        self._check(net, factored, lambda o: np.sum(w * o), lambda o: w)
 
     def test_batch_gradients_sum(self):
         rng = np.random.default_rng(5)
@@ -219,6 +236,54 @@ class TestPrecision:
         _, _, cols = mlp_gradients(net, cache, upstream, wrt="input", input_columns=self.ACTIONS)
         np.testing.assert_allclose(cols, full[:, self.ACTIONS], rtol=0,
                                    atol=1e-12 * np.abs(full).max())
+
+
+class TestFactoredInput:
+    """A batch given as contexts, a row -> context index and per-row tail
+    columns gives the dense batch's outputs and gradients."""
+
+    @staticmethod
+    def _assert_matches_dense(net, factored, dense, rng, tol, columns=slice(None)):
+        upstream = rng.standard_normal((len(dense), net.layer_dims[-1]))
+        results = []
+        for x in (factored, dense):
+            out, cache = mlp_forward_cached(net, x)
+            w_g, b_g, in_grad = mlp_gradients(net, cache, upstream)
+            _, _, col_grad = mlp_gradients(net, cache, upstream, wrt="input", input_columns=columns)
+            results.append((out, flatten_gradients(w_g, b_g), in_grad, col_grad))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == net.flat.dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
+    # the default scene: 384 channel features then the previous min-SINR,
+    # and 32 (IC) or 80 (ORESOU, JOINT_DRL) action entries
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("action_dim", [32, 80])
+    @pytest.mark.parametrize("n,k", [(64, 6), (64, 11), (64, 1), (64, 64), (1, 1)])
+    def test_default_dims_match_dense(self, dtype, tol, action_dim, n, k):
+        rng = np.random.default_rng(1000 * k + n + action_dim)
+        actor = Mlp.create([385, 128, 128, action_dim], rng, "tanh", dtype=dtype)
+        critic = Mlp.create([385 + action_dim, 128, 128, 1], rng, dtype=dtype)
+        self._assert_matches_dense(actor, *_factored_batch(rng, 384, 1, n, k, dtype), rng, tol)
+        self._assert_matches_dense(
+            critic, *_factored_batch(rng, 384, 1 + action_dim, n, k, dtype), rng, tol,
+            columns=slice(385, None),
+        )
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_width_zero_context(self, dtype, tol):
+        # a state of one entry, as in the bandit of acceptance criterion 5,
+        # leaves every context empty
+        rng = np.random.default_rng(16)
+        actor = Mlp.create([1, 64, 64, 8], rng, "tanh", dtype=dtype)
+        critic = Mlp.create([9, 64, 64, 1], rng, dtype=dtype)
+        factored, dense = _factored_batch(rng, 0, 1, 64, 1, dtype)
+        factored[2][:] = 1.0
+        dense[:] = 1.0
+        self._assert_matches_dense(actor, factored, dense, rng, tol)
+        self._assert_matches_dense(
+            critic, *_factored_batch(rng, 0, 9, 64, 1, dtype), rng, tol, columns=slice(1, None)
+        )
 
 
 class TestBackprop:
