@@ -10,13 +10,11 @@ phase modes, for each seed and transmit power (defaults: 1,300 steps,
 seeds 0-2, 20 and 45 dBm), with the default hyperparameters.  Per trace
 field, the script prints how many cells are equal (NaN equal to NaN) and
 the largest |difference| over all cells, then the cells that differ.
-Besides the trace, each DDPG cell's final networks and both optimizers'
-Adam moments are fields too: whichever of actor, critic, target_actor
-and target_critic the agent has, so target networks that only one
-checkout keeps are listed as only on its side.  First moments are
-compared with every entry below their dtype's smallest normal number set
-to 0 on both sides, since ``Adam`` flushes such entries where that
-changes no parameter.  For each cell that differs in any field, it then
+Besides the trace, each DDPG cell's final actor and critic and both
+optimizers' Adam moments are fields too.  First moments are compared
+with every entry below their dtype's smallest normal number set to 0 on
+both sides, since ``Adam`` flushes such entries where that changes no
+parameter.  For each cell that differs in any field, it then
 prints both sides' best min-SINR, the step of that best, and the mean
 feasible min-SINR over the last fifth of the steps; last, the seed means
 of the best and of that tail mean per algorithm, phase mode and power.
@@ -87,12 +85,10 @@ def dump(out: str, steps: int, seeds: list[int], powers: list[float]) -> None:
 
 
 def agent_arrays(agent) -> dict[str, np.ndarray]:
-    """The parameters of the networks an agent has and its optimizers'
+    """The parameters of an agent's actor and critic and its optimizers'
     Adam moments (empty before the first update), the first moments with
     their subnormal entries set to 0."""
-    arrays = {f"{net}.flat": getattr(agent, net).flat
-              for net in ("actor", "critic", "target_actor", "target_critic")
-              if hasattr(agent, net)}
+    arrays = {f"{net}.flat": getattr(agent, net).flat for net in ("actor", "critic")}
     for opt in ("actor_opt", "critic_opt"):
         for moment in ("m", "v"):
             value = getattr(getattr(agent, opt), moment)

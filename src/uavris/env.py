@@ -18,12 +18,11 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelSet, PhaseConfig, assemble_channels, cascaded_channel
-from .linalg import all_finite
+from .linalg import RankDeficientError, all_finite
 from .metrics import SinrReport, sinr_report
 from .scene import SystemConfig, build_geometry
 from .solvers import (
     BeamformingMatrix,
-    RankDeficientError,
     ZeroBeamformerError,
     decode_association,
     ic_beamforming,

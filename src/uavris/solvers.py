@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet, PhaseConfig, cascaded_channel
-from .linalg import RankDeficientError, right_pinv
+from .linalg import right_pinv
 from .metrics import SinrReport, sinr_report
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "normalize_beamformer",
     "quantize_one_bit",
     "random_search_step",
-    "RankDeficientError",
     "ZeroBeamformerError",
 ]
 

@@ -79,6 +79,8 @@ class TrainingTrace:
         """Rolling average of per-UAV SINRs: at step t the mean of the
         last min(t+1, window) instants.  Infeasible steps enter as nan
         and are skipped."""
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         out = np.empty_like(self.per_uav_sinr_db)
         for t in range(self.n_steps):
             lo = max(0, t + 1 - window)
@@ -172,9 +174,12 @@ def run_training(
     thread count is process-wide: run concurrent runs in separate
     processes, not threads.
 
-    Raises ``FloatingPointError``, naming the variant, seed and step, as
-    soon as an update returns a non-finite critic loss or mean Q.
+    Raises ``ValueError`` for ``total_steps < 1``, and
+    ``FloatingPointError``, naming the variant, seed and step, as soon as
+    an update returns a non-finite critic loss or mean Q.
     """
+    if total_steps < 1:
+        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
     learner = variant != RANDOM_SEARCH
     variant = Variant(variant) if learner else Variant.JOINT
     objective = Objective(objective) if learner else Objective.MAX_MIN_SINR

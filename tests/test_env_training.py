@@ -17,11 +17,11 @@ from uavris.env import (
     Objective,
     Variant,
 )
+from uavris.linalg import RankDeficientError
 from uavris.metrics import dbm_to_watts, linear_to_db, sinr_report
 from uavris.scene import build_geometry, default_config
 from uavris.solvers import (
     BeamformingMatrix,
-    RankDeficientError,
     decode_association,
     oresou_phases,
     quantize_one_bit,
@@ -381,6 +381,12 @@ class TestTrainingTrace:
         roll = t.rolling_mean_sinr_db(window=3)
         np.testing.assert_allclose(roll[:, 0], [2.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_rolling_mean_window_below_one_rejected(self, window):
+        t = self._trace([2.0, 4.0], [True, True])
+        with pytest.raises(ValueError, match=rf"window must be >= 1, got {window}$"):
+            t.rolling_mean_sinr_db(window)
+
 
 class TestRunTraining:
     @pytest.fixture(autouse=True)
@@ -436,6 +442,20 @@ class TestRunTraining:
             run_training(config, Variant.IC, total_steps=30, seed=5, hyper=fast_hyper())
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda c, n: run_training(c, Variant.IC, n), id="run_training"),
+            pytest.param(lambda c, n: run_random_search(c, iterations=n), id="run_random_search"),
+        ],
+    )
+    def test_fewer_than_one_step_rejected(self, config, monkeypatch, run, steps):
+        built = []
+        monkeypatch.setattr(training, "DownlinkEnv", lambda *a, **k: built.append(1))
+        with pytest.raises(ValueError, match=rf"total_steps must be >= 1, got {steps}$"):
+            run(config, steps)
+        assert built == []
 
     # warmup 4, batch 8: a 30-step run updates at steps 7-29, a 5-step run never
     @pytest.mark.parametrize(

@@ -1,13 +1,17 @@
-"""Every public name the package advertises resolves.
+"""Every public name the package advertises resolves and has one owner,
+and the simulator core loads without the study layer.
 
 A name left in an ``__all__`` after its definition is deleted imports
 fine until someone writes ``from uavris.<module> import *``; these tests
 make such a stale export fail at once.
 """
 
-import ast
 import importlib
+import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,15 +21,19 @@ import uavris
 MODULES = sorted(m.name for m in pkgutil.iter_modules(uavris.__path__))
 
 
-def _reexports():
-    """(module, name) for every ``from .module import name`` in __init__.py."""
-    tree = ast.parse(Path(uavris.__file__).read_text(encoding="utf-8"))
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
+def _exported_definitions():
+    """(module, name) for every function or class of this package in a
+    module's __all__.  A constant bound to an outside type
+    (``agent.NET_DTYPE = np.float32``) is not a definition."""
+    pairs = []
+    for name in MODULES:
+        module = importlib.import_module(f"uavris.{name}")
+        for export in getattr(module, "__all__", ()):
+            value = getattr(module, export, None)
+            defined = inspect.isfunction(value) or inspect.isclass(value)
+            if defined and value.__module__.startswith("uavris."):
+                pairs.append((name, export))
+    return pairs
 
 
 def test_every_module_is_listed():
@@ -43,8 +51,28 @@ def test_all_names_resolve(name):
     exec(f"from uavris.{name} import *", namespace)
 
 
-@pytest.mark.parametrize("module,name", _reexports())
-def test_package_reexports_resolve(module, name):
-    source = importlib.import_module(f"uavris.{module}")
-    assert getattr(uavris, name) is getattr(source, name)
-    assert name in source.__all__, f"uavris re-exports {name}, which uavris.{module} does not"
+@pytest.mark.parametrize("module,name", _exported_definitions())
+def test_exports_are_defined_where_listed(module, name):
+    """Each public name has one owner: the module that defines it."""
+    owner = getattr(importlib.import_module(f"uavris.{module}"), name).__module__
+    assert owner == f"uavris.{module}", f"uavris.{module} lists {name}, defined in {owner}"
+
+
+def test_core_loads_without_the_study_layer():
+    """The env and the agent import neither the training loop, the study
+    harness nor YAML.  A fresh interpreter: this one has loaded them all."""
+    src = str(Path(uavris.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = (
+        "import sys, uavris.env, uavris.agent\n"
+        "print(*[m for m in ('uavris.training', 'uavris.experiments', 'yaml') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip()
+    assert loaded == "", f"importing uavris.env and uavris.agent loaded {loaded}"

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from uavris.channel import PhaseConfig, cascaded_channel
+from uavris.linalg import RankDeficientError
 from uavris.metrics import sinr_report
 from uavris.solvers import (
     AssociationMatrix,
     BeamformingMatrix,
-    RankDeficientError,
     ZeroBeamformerError,
     decode_association,
     ic_beamforming,
