@@ -182,6 +182,12 @@ class ReplayBuffer:
         return states, self.actions.take(idx, axis=0), self.rewards.take(idx)
 
 
+def _mean(x: np.ndarray) -> float:
+    """``float(np.mean(x))``, rounded as it rounds, without its wrapper."""
+    total = np.add.reduce(x, axis=None)
+    return float(total.dtype.type(float(total) / x.size))
+
+
 @dataclass
 class DdpgAgent:
     actor: Mlp
@@ -193,6 +199,8 @@ class DdpgAgent:
     # sized to the larger net and allocated on the first update; both nets
     # backpropagate into it
     _grads: np.ndarray | None = field(init=False, default=None, repr=False)
+    # d(-mean Q)/dQ for the latest batch size
+    _mean_q_grad: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.actor_opt = Adam(lr=self.hyper.actor_lr)
@@ -232,7 +240,7 @@ class DdpgAgent:
         tail = np.concatenate([lasts[:, np.newaxis], actions], axis=1)
         q, cache = mlp_forward_cached(self.critic, (contexts, index, tail))
         err = q[:, 0] - rewards
-        loss = float(np.mean(err**2))
+        loss = _mean(err * err)
         self._update(self.critic, self.critic_opt, cache, (2.0 / n) * err[:, np.newaxis])
         return loss
 
@@ -245,12 +253,13 @@ class DdpgAgent:
         actions, actor_cache = mlp_forward_cached(self.actor, (contexts, index, lasts))
         tail = np.concatenate([lasts, actions], axis=1)
         q, critic_cache = mlp_forward_cached(self.critic, (contexts, index, tail))
-        objective = float(np.mean(q))
+        objective = _mean(q)
 
         # d(-mean Q)/d action, chained through the actor
-        upstream = np.full((n, 1), -1.0 / n, dtype=NET_DTYPE)
+        if self._mean_q_grad is None or len(self._mean_q_grad) != n:
+            self._mean_q_grad = np.full((n, 1), -1.0 / n, dtype=NET_DTYPE)
         _, _, action_grad = mlp_gradients(
-            self.critic, critic_cache, upstream, wrt="input",
+            self.critic, critic_cache, self._mean_q_grad, wrt="input",
             input_columns=slice(contexts.shape[1] + 1, None),
         )
         self._update(self.actor, self.actor_opt, actor_cache, action_grad)
@@ -262,9 +271,8 @@ class DdpgAgent:
         if self._grads is None:
             size = max(self.actor.flat.size, self.critic.flat.size)
             self._grads = np.zeros(size, dtype=NET_DTYPE)
-        grads = self._grads[: net.flat.size]
-        mlp_gradients(net, cache, upstream, out=grads, wrt="params")
-        opt.step(net.flat, grads)
+        mlp_gradients(net, cache, upstream, out=self._grads, wrt="params")
+        opt.step(net.flat, self._grads[: net.flat.size])
 
     def train_step(self, rng: np.random.Generator) -> tuple[float, float]:
         """Sample a batch and update the critic, then the actor; returns

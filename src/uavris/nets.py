@@ -11,17 +11,18 @@ multiplying by the contexts.  ``DdpgAgent`` trains on replay batches in
 this form: a batch of 64 states holds a few episodes' channel features.
 
 All parameters of a network live in one flat vector; the per-layer
-weight/bias arrays are views into it, so an optimizer step is a few
-whole-vector operations.
+weight/bias arrays are views into it (a copied or unpickled network
+rebuilds them), so an optimizer step is a few whole-vector operations.
 
 Precision.  The dtype of a network's ``flat`` vector is the dtype of all
 of its arithmetic: inputs and upstream gradients are cast to it, and
 gradients, optimizer moments and scratch are allocated in it.
 ``Mlp.create`` defaults to float64; ``DdpgAgent`` trains in float32.
-Scalars that meet these arrays are Python floats, never numpy float64
-scalars: under NumPy's promotion rules a float64 scalar would lift every
-float32 product to float64 and round it back, which is slower and rounds
-differently.  In float64 the two kinds of scalar give the same bits.
+Scalars that meet these arrays are Python floats, or 0-d arrays that
+round as they do under NEP 50 and NumPy 1.24's value-based casting alike
+(of the arrays' dtype, or float32 holding 0) and cost less per call, never
+numpy float64 scalars: under NumPy's promotion rules a float64 scalar
+would lift every float32 product to float64 and round it back.
 
 Buffers.  A training step allocates nothing of parameter size:
 
@@ -36,7 +37,7 @@ Buffers.  A training step allocates nothing of parameter size:
 used, and it shares the parameters' dtype.  Without it the call
 allocates what it needs and gives the same bits.  ``DdpgAgent`` owns one
 gradient buffer, sized to its larger network, into which both networks
-backpropagate.
+backpropagate; a network keeps the views of the last ``g`` it wrote.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
 
 # Adam flushes subnormal first moments every this many steps
 _FLUSH_EVERY = 16
+_ZERO = np.zeros((), dtype=np.float32)  # 0 in either dtype, and cheaper than 0.0
 
 
 def _layer_views(flat: np.ndarray, layer_dims: list[int]):
@@ -84,6 +86,7 @@ class Mlp:
     output_activation: str = "identity"
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
+    _grad_views: tuple = field(init=False, default=(None,), repr=False, compare=False)
 
     def __post_init__(self):
         if self.output_activation not in ("identity", "tanh"):
@@ -91,6 +94,9 @@ class Mlp:
         if self.flat.size != _param_count(self.layer_dims):
             raise ValueError("flat parameter vector does not match layer dims")
         self.weights, self.biases = _layer_views(self.flat, self.layer_dims)
+
+    def __reduce__(self):  # copy and pickle rebuild the views on the copied vector
+        return type(self), (self.flat, self.layer_dims, self.output_activation)
 
     @classmethod
     def create(
@@ -167,7 +173,7 @@ def mlp_forward_cached(net: Mlp, x):
         z += b
         pre_acts.append(z)
         if l < n_layers - 1:
-            h = np.maximum(z, 0.0)
+            h = np.maximum(z, _ZERO)
         elif net.output_activation == "tanh":
             h = np.tanh(z)
         else:
@@ -220,16 +226,17 @@ def mlp_gradients(
     if wrt != "input":
         if out is None:
             out = np.empty_like(net.flat)
-        w_grads, b_grads = _layer_views(out[: net.flat.size], net.layer_dims)
+        if net._grad_views[0] is not out:
+            net._grad_views = (out, *_layer_views(out[: net.flat.size], net.layer_dims))
+        w_grads, b_grads = net._grad_views[1:]
     for l in range(n_layers - 1, -1, -1):
-        if l == n_layers - 1:
-            if net.output_activation == "tanh":
-                g = g * (1.0 - activations[l + 1] ** 2)
-        else:
-            g = g * (pre_acts[l] > 0.0)
+        if l < n_layers - 1:
+            g *= (pre_acts[l] > _ZERO).astype(g.dtype)  # g is _backprop's fresh array
+        elif net.output_activation == "tanh":
+            g = g * (1.0 - np.square(activations[l + 1]))
         if w_grads is not None:
             _weight_gradient(g, activations[l], w_grads[l])
-            np.sum(g, axis=0, out=b_grads[l])
+            np.add.reduce(g, axis=0, out=b_grads[l])
         if l > 0:
             g = _backprop(g, net.weights[l])
         elif wrt != "params":
@@ -276,31 +283,36 @@ class Adam:
     m: np.ndarray | None = field(init=False, default=None)
     v: np.ndarray | None = field(init=False, default=None)
     _work: np.ndarray | None = field(init=False, default=None, repr=False)
+    _betas: tuple = field(init=False, default=(), repr=False)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Update ``params`` in place to descend along ``grads``, which
         the step overwrites."""
         if self.m is None:
             self.m, self.v, self._work = (np.zeros_like(params) for _ in range(3))
+        if not self._betas:
+            betas = (self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2)
+            self._betas = tuple(np.array(b, dtype=self.m.dtype) for b in betas)
         if not params.shape == grads.shape == self.m.shape:
             raise ValueError("params and grads must keep the optimizer's parameter shape")
-        work = self._work
+        m, v, work = self.m, self.v, self._work
+        beta1, one_minus_beta1, beta2, one_minus_beta2 = self._betas
         self.t += 1
         # fused bias correction: p -= lr_t * m / (sqrt(v) + eps * sqrt(bc2)),
         # each product rounded in the same order as the unfused form;
-        # Python-float scalars keep float32 arithmetic in float32
+        # scalars are Python floats or 0-d arrays of the parameters' dtype
         bc2_sqrt = math.sqrt(1.0 - self.beta2**self.t)
         lr_t = self.lr * bc2_sqrt / (1.0 - self.beta1**self.t)
-        self.m *= self.beta1
-        np.multiply(grads, 1.0 - self.beta1, out=work)
-        self.m += work
-        self.v *= self.beta2
+        m *= beta1
+        np.multiply(grads, one_minus_beta1, out=work)
+        m += work
+        v *= beta2
         np.square(grads, out=grads)
-        grads *= 1.0 - self.beta2
-        self.v += grads
-        np.sqrt(self.v, out=work)
+        grads *= one_minus_beta2
+        v += grads
+        np.sqrt(v, out=work)
         work += self.eps * bc2_sqrt
-        np.multiply(self.m, lr_t, out=grads)
+        np.multiply(m, lr_t, out=grads)
         grads /= work
         params -= grads
         if self.t % _FLUSH_EVERY == 0:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -276,6 +278,23 @@ class TestDdpgAgent:
         agent.actor_train_step((_each_row_its_context(rng.standard_normal((8, 3))),))
         np.testing.assert_array_equal(agent.critic.flat, critic_before)
 
+    def test_returned_loss_and_mean_q_are_np_means(self):
+        # float32 sums over 24 rows, a count whose quotients round
+        agent = _filled_agent(7, 3, small_hyper(batch_size=24), episode=4)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            batch = agent.buffer.sample(rng, 24)
+            (contexts, index, lasts), actions, rewards = batch
+            tail = np.concatenate([lasts[:, np.newaxis], actions], axis=1)
+            q = mlp_forward_cached(agent.critic, (contexts, index, tail))[0]
+            loss = float(np.mean((q[:, 0] - rewards) ** 2))
+            assert agent.critic_train_step(batch) == loss
+            lasts = lasts[:, np.newaxis]
+            acts = mlp_forward_cached(agent.actor, (contexts, index, lasts))[0]
+            x = (contexts, index, np.concatenate([lasts, acts], axis=1))
+            mean_q = float(np.mean(mlp_forward_cached(agent.critic, x)[0]))
+            assert agent.actor_train_step(batch) == mean_q
+
     def test_train_step_runs_end_to_end(self):
         rng = np.random.default_rng(6)
         agent = DdpgAgent.create(3, 2, small_hyper(), rng)
@@ -466,11 +485,25 @@ def _filled_agent(state_dim, action_dim, hyper, seed=0, transitions=128, episode
 
 class TestUpdateMatchesReference:
     @pytest.mark.parametrize("discount", [0.0])  # the one discount the agent accepts
-    def test_bitwise_equal_over_20_updates(self, discount):
+    @pytest.mark.parametrize(
+        "state_dim,action_dim,hidden,batch",
+        [
+            pytest.param(40, 6, (32, 32), 16, id="small"),
+            # the default scene's IC nets (385 -> 128 -> 128 -> 32)
+            pytest.param(385, 32, (128, 128), 64, id="ic"),
+            # the smoke study's IC nets
+            pytest.param(385, 32, (32, 32), 32, id="smoke"),
+            # ORESOU's 80-wide action
+            pytest.param(385, 80, (128, 128), 64, id="oresou"),
+        ],
+    )
+    def test_bitwise_equal_over_20_updates(
+        self, state_dim, action_dim, hidden, batch, discount
+    ):
         # 8 contexts of 16 states each, so batches repeat contexts
-        hyper = small_hyper(hidden_dims=(32, 32), batch_size=16, discount=discount)
-        agent = _filled_agent(40, 6, hyper, episode=16)
-        ref = _filled_agent(40, 6, hyper, episode=16)
+        hyper = small_hyper(hidden_dims=hidden, batch_size=batch, discount=discount)
+        agent = _filled_agent(state_dim, action_dim, hyper, episode=16)
+        ref = _filled_agent(state_dim, action_dim, hyper, episode=16)
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(20):
             agent.train_step(rng)
@@ -508,6 +541,35 @@ class TestUpdateMatchesReference:
             tracemalloc.stop()
         assert opt.t == 16 and opt.m[i] == 0.0
         assert peak < 1.0 * 2**20
+
+
+class TestCopiedAgent:
+    @pytest.mark.parametrize(
+        "copy_agent",
+        [copy.deepcopy, lambda agent: pickle.loads(pickle.dumps(agent))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_trains_like_the_original(self, copy_agent):
+        # a network's weights and biases are views of its parameter vector;
+        # a copy whose views look into another vector would forward with
+        # the weights it was copied with while Adam steps the vector.  17
+        # updates pass Adam's first flush of subnormal moments.
+        hyper = small_hyper(hidden_dims=(32, 32), batch_size=16)
+        agent = _filled_agent(40, 6, hyper, episode=16)
+        agent.train_step(np.random.default_rng(1))  # moments and buffers exist
+        copied = copy_agent(agent)
+        rng, copied_rng = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(17):
+            agent.train_step(rng)
+            copied.train_step(copied_rng)
+        for name in ("actor", "critic"):
+            assert np.array_equal(getattr(copied, name).flat, getattr(agent, name).flat), name
+        for name in ("actor_opt", "critic_opt"):
+            opt, copied_opt = getattr(agent, name), getattr(copied, name)
+            assert copied_opt.t == opt.t == 18
+            assert np.array_equal(copied_opt.m, opt.m) and np.array_equal(copied_opt.v, opt.v)
+        state = np.random.default_rng(3).standard_normal(40)
+        assert np.array_equal(copied.policy(state), agent.policy(state))
 
 
 class TestPerContextUpdateMatchesDense:
