@@ -137,7 +137,8 @@ class ReplayBuffer:
         i = self._head
         state = np.asarray(state)
         key = state[:-1].tobytes()
-        if key != self._key or state.dtype is not self._dtype:
+        # by value: a copied or unpickled buffer holds another, equal dtype
+        if key != self._key or state.dtype != self._dtype:
             self._allocate(state, key)
         self._state_rows[i] = self._row
         self._state_lasts[i] = state[-1]

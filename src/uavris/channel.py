@@ -76,7 +76,8 @@ class ChannelSet:
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Per-element reflection phases, length N*N_R, each in [0, 2*pi)."""
+    """Per-element reflection phases, length N*N_R, each in [0, 2*pi]: the
+    wrap, np.mod, rounds a tiny negative phase such as -1e-17 up to 2*pi."""
 
     theta: np.ndarray
 
@@ -205,5 +206,4 @@ def cascaded_channel(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
         raise ValueError(
             f"phase vector length {len(phases)} != element count {channels.n_elements}"
         )
-    weighted = channels.h_stacked * np.exp(1j * phases.theta)[np.newaxis, :]
-    return weighted @ channels.g_stacked
+    return (channels.h_stacked * np.exp(1j * phases.theta)) @ channels.g_stacked

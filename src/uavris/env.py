@@ -12,8 +12,8 @@ Variants and their action layouts (k values for the default scenario):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class Objective(str, Enum):
     MAX_SUM_RATE = "max_sum_rate"
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     phases: PhaseConfig | None
     f_hat: BeamformingMatrix | None
     report: SinrReport | None
@@ -58,7 +57,7 @@ class StepOutcome:
     reward: float
 
 
-# frozen and the same for every infeasible step, so all of them share it
+# immutable and the same for every infeasible step, so all of them share it
 _INFEASIBLE = StepOutcome(
     phases=None, f_hat=None, report=None, feasible=False, reward=PENALTY_DB / REWARD_SCALE
 )
@@ -130,19 +129,19 @@ class DownlinkEnv:
         Raises RankDeficientError (IC) or ZeroBeamformerError (a raw
         precoder column of zeros) when the action has no feasible decoding.
         """
-        c = self.config
+        c, channels = self.config, self._channels
         head, tail = action[: self._split], action[self._split :]
         if self.variant is Variant.ORESOU:
             assoc = decode_association(head, c.n_uav)
             f_hat = normalize_beamformer(tail, c.n_bs_antennas, c.n_uav, c.p_max)
-            phases = oresou_phases(assoc, self.channels, f_hat)
+            phases = oresou_phases(assoc, channels, f_hat)
         else:
-            phases = PhaseConfig(theta=np.pi * (head + 1.0))
+            phases = PhaseConfig(np.pi * (head + 1.0))
         if self.one_bit:
             phases = quantize_one_bit(phases)
-        cascade = cascaded_channel(self.channels, phases)
+        cascade = cascaded_channel(channels, phases)
         if self.variant is Variant.IC:
-            f_hat = ic_beamforming(self.channels, phases, c.p_max, cascade=cascade)
+            f_hat = ic_beamforming(channels, phases, c.p_max, cascade=cascade)
         elif self.variant is Variant.JOINT:
             f_hat = normalize_beamformer(tail, c.n_bs_antennas, c.n_uav, c.p_max)
         return phases, f_hat, cascade
@@ -173,7 +172,5 @@ class DownlinkEnv:
         else:
             reward = report.sum_rate / REWARD_SCALE
         self._state_vector[-1] = clipped_db / REWARD_SCALE
-        outcome = StepOutcome(
-            phases=phases, f_hat=f_hat, report=report, feasible=True, reward=reward
-        )
+        outcome = StepOutcome(phases, f_hat, report, True, reward)
         return self._state_vector.copy(), outcome

@@ -36,7 +36,8 @@ def all_finite(a: np.ndarray) -> bool:
     float64 limit whose sum overflows.  numpy warns about an overflowing
     sum and about a sum of +inf and -inf.
     """
-    return cmath.isfinite(a.sum()) or bool(np.isfinite(a).all())
+    # np.add.reduce is the reduction ``a.sum()`` calls, without its wrapper
+    return cmath.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
 def right_pinv(a) -> np.ndarray:
@@ -60,10 +61,12 @@ def right_pinv(a) -> np.ndarray:
         low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise RankDeficientError("the normal-equations matrix is not positive definite") from None
-    pivots = np.diagonal(low).real ** 2
-    if pivots.min() < _PIVOT_RTOL * pivots.max():
+    # as Python floats; LAPACK fails on a NaN pivot, so min and max see none
+    pivots = (low.diagonal().real ** 2).tolist()
+    smallest, largest = min(pivots), max(pivots)
+    if smallest < _PIVOT_RTOL * largest:
         raise RankDeficientError(
-            f"pivot ratio {pivots.min() / pivots.max():.3e} below {_PIVOT_RTOL:.0e}"
+            f"pivot ratio {smallest / largest:.3e} below {_PIVOT_RTOL:.0e}"
         )
     # (A A^H)^{-1} A, conjugate-transposed: the Gram matrix is Hermitian
     return np.linalg.solve(gram, a).conj().T

@@ -8,7 +8,7 @@ power of UAV u is |effective[u, u]|^2 and the interference from UAV i is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SinrReport:
+class SinrReport(NamedTuple):
     per_uav_sinr: np.ndarray  # linear ratios, length N_U
     min_sinr: float  # linear
     min_sinr_db: float
@@ -40,17 +39,14 @@ def sinr_report(effective: np.ndarray, noise_power: float) -> SinrReport:
         raise ValueError(f"effective matrix must be square, got {effective.shape}")
     if noise_power <= 0:
         raise ValueError("noise_power must be > 0")
+    # np.add.reduce and np.minimum.reduce: ndarray.sum and .min, unwrapped
     powers = np.abs(effective) ** 2
     desired = powers.diagonal()
-    interference = powers.sum(axis=1) - desired
+    interference = np.add.reduce(powers, axis=1) - desired
     sinr = desired / (interference + noise_power)
-    min_sinr = float(sinr.min())
-    return SinrReport(
-        per_uav_sinr=sinr,
-        min_sinr=min_sinr,
-        min_sinr_db=linear_to_db(min_sinr),
-        sum_rate=float(np.log2(1.0 + sinr).sum()),
-    )
+    min_sinr = float(np.minimum.reduce(sinr))
+    sum_rate = float(np.add.reduce(np.log2(1.0 + sinr)))
+    return SinrReport(sinr, min_sinr, linear_to_db(min_sinr), sum_rate)
 
 
 def dbm_to_watts(x_dbm: float) -> float:
@@ -64,4 +60,4 @@ def db_to_linear(x_db: float) -> float:
 def linear_to_db(x) -> float:
     if x <= 0:
         raise ValueError("linear_to_db requires a positive ratio")
-    return float(10.0 * np.log10(x))
+    return 10.0 * float(np.log10(x))

@@ -17,6 +17,7 @@ which meets tr(F_hat^H F_hat) = p_max with equality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,11 +40,29 @@ __all__ = [
 ]
 
 _POWER_SLACK = 1e-9
+# searchsorted counts the edges below a phase: one exactly on the open interval
+# (pi/2, 3*pi/2), which snaps to pi, as the upper edge is the float below 3*pi/2
+_ONE_BIT_EDGES = np.array([np.pi / 2, np.nextafter(3 * np.pi / 2, 0.0)])
+_ONE_BIT_LEVELS = np.array([0.0, np.pi, 0.0])
 
 
 class ZeroBeamformerError(ValueError):
     """The raw precoder has an all-zero column: no scaling gives that UAV
     any power, so its SINR is 0."""
+
+
+def _power(f: np.ndarray) -> float:
+    """tr(F^H F), summed as ``np.sum(np.abs(f) ** 2)`` sums it: through
+    ``np.add.reduce``, the reduction behind ``np.sum``, without its wrapper."""
+    return float(np.add.reduce(np.abs(f) ** 2, axis=None))
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n int8 identity, read-only: row u is the one-hot row of UAV u."""
+    eye = np.eye(n, dtype=np.int8)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -60,7 +79,7 @@ class BeamformingMatrix:
         if f.ndim != 2:
             raise ValueError("f_hat must be a matrix")
         # one reduction checks both: a finite power has only finite entries
-        power = float(np.sum(np.abs(f) ** 2))
+        power = _power(f)
         if not math.isfinite(power) and not np.isfinite(f).all():
             raise ValueError("f_hat contains non-finite entries")
         if power > self.p_max * (1.0 + _POWER_SLACK) + _POWER_SLACK:
@@ -83,16 +102,17 @@ class AssociationMatrix:
         a = np.asarray(self.assoc)
         if a.ndim != 2:
             raise ValueError("assoc must be a matrix")
-        if not ((a == 0) | (a == 1)).all():
-            raise ValueError("assoc entries must be 0 or 1")
-        if not (a.sum(axis=1) == 1).all():
+        # a row is one-hot exactly when it equals the one-hot row of its argmax
+        if not (a == _identity(a.shape[1]).take(a.argmax(axis=1), axis=0)).all():
+            if not ((a == 0) | (a == 1)).all():
+                raise ValueError("assoc entries must be 0 or 1")
             raise ValueError("each assoc row must sum to exactly 1")
         object.__setattr__(self, "assoc", a.astype(np.int8))
 
     @property
     def serving_uav(self) -> np.ndarray:
         """Index of the UAV served by each element, length N*N_R."""
-        return np.argmax(self.assoc, axis=1)
+        return self.assoc.argmax(axis=1)
 
 
 def ic_beamforming(
@@ -111,8 +131,7 @@ def ic_beamforming(
     if cascade is None:
         cascade = cascaded_channel(channels, phases)
     f_tilde = right_pinv(cascade)
-    norm_sq = float(np.sum(np.abs(f_tilde) ** 2))
-    return BeamformingMatrix(f_hat=math.sqrt(p_max / norm_sq) * f_tilde, p_max=p_max)
+    return BeamformingMatrix(math.sqrt(p_max / _power(f_tilde)) * f_tilde, p_max)
 
 
 def oresou_phases(
@@ -131,8 +150,11 @@ def oresou_phases(
     m_idx = np.arange(channels.n_elements)
     bs_component = channels.g_stacked @ f_hat.f_hat  # (N*N_R, N_U)
     effective = channels.h_stacked.T[m_idx, serving] * bs_component[m_idx, serving]
-    theta = np.mod(-np.angle(effective), 2 * np.pi)
-    return PhaseConfig(theta=theta)
+    # -arg(e) through the call np.angle makes.  This mod is not redundant
+    # with PhaseConfig's: it rounds a tiny negative -arg(e) up to exactly
+    # 2*pi, which PhaseConfig's mod folds to 0; with one mod it stays 2*pi
+    theta = np.mod(-np.arctan2(effective.imag, effective.real), 2 * np.pi)
+    return PhaseConfig(theta)
 
 
 def decode_association(raw: np.ndarray, n_uav: int) -> AssociationMatrix:
@@ -141,8 +163,8 @@ def decode_association(raw: np.ndarray, n_uav: int) -> AssociationMatrix:
     raw = np.asarray(raw, dtype=float)
     if raw.size % n_uav != 0:
         raise ValueError(f"raw length {raw.size} not divisible by n_uav {n_uav}")
-    winners = np.argmax(raw.reshape(-1, n_uav), axis=1)
-    return AssociationMatrix(assoc=np.eye(n_uav, dtype=np.int8)[winners])
+    winners = raw.reshape(-1, n_uav).argmax(axis=1)
+    return AssociationMatrix(_identity(n_uav).take(winners, axis=0))
 
 
 def normalize_beamformer(raw: np.ndarray, n_bs: int, n_uav: int, p_max: float) -> BeamformingMatrix:
@@ -155,20 +177,17 @@ def normalize_beamformer(raw: np.ndarray, n_bs: int, n_uav: int, p_max: float) -
         raise ValueError(f"raw length {raw.size} != 2*{n_bs}*{n_uav}")
     # consecutive (real, imag) pairs are the memory layout of complex128
     f = raw.reshape(-1).view(np.complex128).reshape(n_bs, n_uav)
-    served = f.any(axis=0)
-    if not served.all():
-        uavs = ", ".join(str(u) for u in np.flatnonzero(~served))
+    served = f.any(axis=0).tolist()
+    if not all(served):
+        uavs = ", ".join(str(u) for u, s in enumerate(served) if not s)
         raise ZeroBeamformerError(f"all-zero precoder column for UAV {uavs}")
-    norm_sq = float(np.sum(np.abs(f) ** 2))
-    return BeamformingMatrix(f_hat=math.sqrt(p_max / norm_sq) * f, p_max=p_max)
+    return BeamformingMatrix(math.sqrt(p_max / _power(f)) * f, p_max)
 
 
 def quantize_one_bit(phases: PhaseConfig) -> PhaseConfig:
     """Snap each phase to whichever of {0, pi} is angularly closer;
     ties (pi/2, 3*pi/2) snap to 0."""
-    theta = phases.theta
-    to_pi = (theta > np.pi / 2) & (theta < 3 * np.pi / 2)
-    return PhaseConfig(theta=np.where(to_pi, np.pi, 0.0))
+    return PhaseConfig(_ONE_BIT_LEVELS.take(_ONE_BIT_EDGES.searchsorted(phases.theta)))
 
 
 def random_search_step(

@@ -194,6 +194,7 @@ def run_training(
         noise_std = hyper.noise_std
 
     min_sinr_db = np.full(total_steps, np.nan)
+    # linear per-UAV SINRs; converted to dB once, after the loop
     per_uav = np.full((total_steps, config.n_uav), np.nan)
     sum_rate = np.zeros(total_steps)
     feasible = np.zeros(total_steps, dtype=bool)
@@ -219,7 +220,7 @@ def run_training(
         if outcome.feasible:
             rep = outcome.report
             min_sinr_db[t] = rep.min_sinr_db
-            per_uav[t] = rep.per_uav_sinr_db
+            per_uav[t] = rep.per_uav_sinr
             sum_rate[t] = rep.sum_rate
             if rep.min_sinr_db > best_val:
                 best_val = rep.min_sinr_db
@@ -243,7 +244,7 @@ def run_training(
         one_bit=one_bit,
         p_max=config.p_max,
         min_sinr_db=min_sinr_db,
-        per_uav_sinr_db=per_uav,
+        per_uav_sinr_db=10.0 * np.log10(per_uav),
         sum_rate=sum_rate,
         feasible=feasible,
     )

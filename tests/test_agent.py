@@ -571,6 +571,48 @@ class TestCopiedAgent:
         state = np.random.default_rng(3).standard_normal(40)
         assert np.array_equal(copied.policy(state), agent.policy(state))
 
+    @pytest.mark.parametrize(
+        "copy_agent",
+        [copy.deepcopy, lambda agent: pickle.loads(pickle.dumps(agent))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_keeps_pushing_like_the_original(self, copy_agent):
+        # a copy holds a dtype equal to, but not the same object as, the
+        # dtype its latest context was pushed with.  A push of that context
+        # must reuse its row in the copy as in the original, or the copy's
+        # batches hold one context twice and its updates round differently
+        hyper = small_hyper(hidden_dims=(32, 32), batch_size=16)
+        rng = np.random.default_rng(0)
+        agent = DdpgAgent.create(40, 6, hyper, rng)
+        context = rng.standard_normal(39)
+
+        def transitions(n):
+            for _ in range(n):
+                state = np.append(context, rng.standard_normal())
+                yield state, rng.uniform(-1.0, 1.0, 6), rng.standard_normal(), state
+
+        for transition in transitions(24):
+            agent.buffer.push(*transition)
+        agent.train_step(np.random.default_rng(1))
+        copied = copy_agent(agent)
+        rng_a, copied_rng = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(17):
+            for transition in transitions(3):
+                agent.buffer.push(*transition)
+                copied.buffer.push(*transition)
+            agent.train_step(rng_a)
+            copied.train_step(copied_rng)
+        sample = agent.buffer.sample(np.random.default_rng(3), 16)
+        copied_sample = copied.buffer.sample(np.random.default_rng(3), 16)
+        for got, expected in zip((*copied_sample[0], *copied_sample[1:]),
+                                 (*sample[0], *sample[1:])):
+            assert np.array_equal(got, expected)
+        for name in ("actor", "critic"):
+            assert np.array_equal(getattr(copied, name).flat, getattr(agent, name).flat), name
+        for name in ("actor_opt", "critic_opt"):
+            opt, copied_opt = getattr(agent, name), getattr(copied, name)
+            assert np.array_equal(copied_opt.m, opt.m) and np.array_equal(copied_opt.v, opt.v)
+
 
 class TestPerContextUpdateMatchesDense:
     def test_gradients_at_the_default_dims(self):

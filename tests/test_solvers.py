@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uavris.channel import PhaseConfig, cascaded_channel
+from uavris.channel import ChannelSet, PhaseConfig, cascaded_channel
 from uavris.linalg import RankDeficientError
 from uavris.metrics import sinr_report
 from uavris.solvers import (
@@ -131,6 +131,17 @@ class TestOresouPhases:
         theta = oresou_phases(assoc, channels, f_hat).theta
         assert ((theta >= 0) & (theta < 2 * np.pi)).all()
 
+    def test_tiny_negative_phase_folds_to_zero(self):
+        # -arg(e) = -1e-18: oresou_phases's own mod rounds it up to 2*pi,
+        # and PhaseConfig's mod folds that to 0
+        channels = ChannelSet(
+            g_stacked=np.ones((1, 1), dtype=complex), h_stacked=np.array([[1.0 + 1e-18j]]),
+            pathloss_bs_ris=np.ones(1), pathloss_ris_uav=np.ones((1, 1)),
+        )
+        f_hat = BeamformingMatrix(np.ones((1, 1)), p_max=1.0)
+        theta = oresou_phases(AssociationMatrix(np.ones((1, 1))), channels, f_hat).theta
+        assert theta[0] == 0.0
+
     def test_beats_random_phases_on_served_sum(self, config, channels, rng):
         # coherent combining maximizes each served UAV's assigned magnitude sum
         assoc = decode_association(rng.standard_normal(64), 2)
@@ -224,6 +235,24 @@ class TestQuantizeOneBit:
         p = PhaseConfig(theta=rng.uniform(0, 2 * np.pi, 50))
         once = quantize_one_bit(p)
         np.testing.assert_array_equal(quantize_one_bit(once).theta, once.theta)
+
+    def test_matches_the_two_comparisons_at_every_edge(self, rng):
+        edges = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi]
+        theta = np.concatenate([
+            [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)],
+            edges,
+            rng.uniform(0, 2 * np.pi, 200),
+        ])
+        theta = PhaseConfig(theta=theta).theta
+        expected = np.where((theta > np.pi / 2) & (theta < 3 * np.pi / 2), np.pi, 0.0)
+        assert quantize_one_bit(PhaseConfig(theta=theta)).theta.tobytes() == expected.tobytes()
+
+    def test_a_phase_wrapped_to_two_pi_snaps_to_zero(self):
+        # np.mod rounds a tiny negative phase up to exactly 2*pi, the
+        # closed end of PhaseConfig's range
+        wrapped = PhaseConfig(theta=np.array([-1e-17]))
+        assert wrapped.theta[0] == 2 * np.pi
+        assert quantize_one_bit(wrapped).theta[0] == 0.0
 
 
 class TestRandomSearchStep:
